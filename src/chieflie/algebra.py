@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field as dc_field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
-from .linalg import (Matrix, Subspace, Vector, quotient_coords, rref_rows,
-                     solve_linear)
+from .linalg import (Matrix, QuotientCoords, Subspace, Vector, quotient_coords,
+                     solve_linear, unit)
 
 
 class ValidationError(ValueError):
@@ -66,16 +66,17 @@ class LieAlgebra:
         check_valid(alg)
         return alg
 
-    @property
+    # Computed once per algebra: the whole space is asked for constantly.
+    @cached_property
     def full(self) -> Subspace:
         return Subspace.full(self.n, self.p)
 
-    @property
+    @cached_property
     def zero_space(self) -> Subspace:
         return Subspace.zero(self.n, self.p)
 
     def basis_vector(self, i: int) -> Vector:
-        return tuple(1 if j == i else 0 for j in range(self.n))
+        return unit(i, self.n)
 
     def label(self, i: int) -> str:
         return self.labels[i] if self.labels else f"x{i + 1}"
@@ -137,7 +138,7 @@ def check_valid(l: LieAlgebra) -> None:
 def subspace_product(l: LieAlgebra, u: Subspace, v: Subspace) -> Subspace:
     """[U, V]: span of all brackets of basis elements."""
     prods = [bracket(l, a, b) for a in u.rows for b in v.rows]
-    return Subspace(l.n, l.p, rref_rows(prods, l.p))
+    return Subspace(l.n, l.p, prods)
 
 
 def is_subalgebra(l: LieAlgebra, u: Subspace) -> bool:
@@ -165,6 +166,18 @@ def ad_matrix(l: LieAlgebra, x: Vector) -> Matrix:
     return Matrix(l.p, rows)
 
 
+def preserves_brackets(theta: Matrix, src, dst) -> bool:
+    """Whether theta[e_s, e_t] = [theta e_s, theta e_t] for all s < t, where
+    src and dst compute the brackets in the domain and codomain of theta."""
+    d = theta.ncols
+    for s in range(d):
+        for t in range(s + 1, d):
+            es, et = unit(s, d), unit(t, d)
+            if theta.apply(src(es, et)) != dst(theta.apply(es), theta.apply(et)):
+                return False
+    return True
+
+
 # -- quotients -------------------------------------------------------------
 
 
@@ -175,7 +188,7 @@ class QuotientPresentation:
     parent: LieAlgebra
     ideal: Subspace
     algebra: LieAlgebra
-    coords: "object"  # QuotientCoords
+    coords: QuotientCoords
 
     def project(self, v: Vector) -> Vector:
         return self.coords.project(v)
@@ -185,11 +198,11 @@ class QuotientPresentation:
 
     def project_subspace(self, u: Subspace) -> Subspace:
         rows = [self.project(r) for r in u.rows]
-        return Subspace(self.algebra.n, self.parent.p, rref_rows(rows, self.parent.p))
+        return Subspace(self.algebra.n, self.parent.p, rows)
 
     def preimage_subspace(self, q: Subspace) -> Subspace:
         rows = [self.lift(r) for r in q.rows] + list(self.ideal.rows)
-        return Subspace(self.parent.n, self.parent.p, rref_rows(rows, self.parent.p))
+        return Subspace(self.parent.n, self.parent.p, rows)
 
 
 @lru_cache(maxsize=None)
@@ -198,7 +211,7 @@ def quotient_algebra(l: LieAlgebra, ideal: Subspace) -> QuotientPresentation:
         raise ValueError("quotient by a non-ideal subspace")
     qc = quotient_coords(l.full, ideal)
     k = qc.dim
-    lifts = [qc.lift(tuple(1 if j == i else 0 for j in range(k))) for i in range(k)]
+    lifts = [qc.lift(unit(i, k)) for i in range(k)]
     sc = tuple(tuple(qc.project(bracket(l, lifts[i], lifts[j]))
                      for j in range(k)) for i in range(k))
     labels = None
@@ -224,42 +237,30 @@ class SubalgebraPresentation:
     def to_sub(self, v: Vector) -> Vector:
         if not self.subspace.contains(v):
             raise ValueError(f"vector {v} outside the subalgebra")
-        return tuple(v[piv] % self.parent.p for piv in self.subspace.pivots)
+        return self.subspace.coords(v)
 
     def to_parent(self, c: Vector) -> Vector:
-        p = self.parent.p
-        acc = [0] * self.parent.n
-        for coeff, row in zip(c, self.subspace.rows):
-            if coeff % p:
-                acc = [(a + coeff * b) % p for a, b in zip(acc, row)]
-        return tuple(acc)
+        return self.subspace.combine(c)
 
     def sub_subspace(self, u: Subspace) -> Subspace:
         """Intersection-free restriction: u must already lie inside U."""
         rows = [self.to_sub(r) for r in u.rows]
-        return Subspace(self.algebra.n, self.parent.p, rref_rows(rows, self.parent.p))
+        return Subspace(self.algebra.n, self.parent.p, rows)
 
     def parent_subspace(self, u: Subspace) -> Subspace:
         rows = [self.to_parent(r) for r in u.rows]
-        return Subspace(self.parent.n, self.parent.p, rref_rows(rows, self.parent.p))
-
-
-def _coords_in(u: Subspace, v: Vector, p: int) -> Vector:
-    # v must lie in u; RREF basis makes pivot entries the coordinates.
-    if not u.contains(v):
-        raise ValueError("vector outside subspace")
-    return tuple(v[piv] % p for piv in u.pivots)
+        return Subspace(self.parent.n, self.parent.p, rows)
 
 
 @lru_cache(maxsize=None)
 def restrict_algebra(l: LieAlgebra, u: Subspace) -> SubalgebraPresentation:
     if not is_subalgebra(l, u):
         raise ValueError("restriction to a non-subalgebra subspace")
-    d = u.dim
-    pres_sc = tuple(
-        tuple(_coords_in(u, bracket(l, u.rows[i], u.rows[j]), l.p) for j in range(d))
-        for i in range(d))
-    alg = LieAlgebra(d, l.p, pres_sc)
+    brackets = [[bracket(l, x, y) for y in u.rows] for x in u.rows]
+    if not all(u.contains(w) for row in brackets for w in row):
+        raise ValueError("vector outside subspace")
+    pres_sc = tuple(tuple(u.coords(w) for w in row) for row in brackets)
+    alg = LieAlgebra(u.dim, l.p, pres_sc)
     check_valid(alg)
     return SubalgebraPresentation(l, u, alg)
 

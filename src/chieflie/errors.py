@@ -10,3 +10,9 @@ class VerificationError(RuntimeError):
     either corrupted input data or a genuine counterexample to a structural
     claim, and should never be silently swallowed.
     """
+
+
+def require(cond: bool, message: str) -> None:
+    """Raise VerificationError(message) unless cond holds."""
+    if not cond:
+        raise VerificationError(message)

@@ -28,16 +28,16 @@ is the equivalence used by the chief-series matching theorems.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .algebra import (LieAlgebra, bracket, is_ideal, is_subalgebra,
-                      quotient_algebra, subspace_product)
-from .errors import VerificationError
+                      preserves_brackets, quotient_algebra, subspace_product)
+from .errors import VerificationError, require
 from .ideals import (all_ideals, centralizer_of_factor, core, is_chief_pair,
                      minimal_ideals_over)
 from .linalg import (BudgetExceeded, Matrix, Subspace, quotient_coords,
                      rref_rows, solve_linear, subspace_intersect,
-                     subspace_leq, subspace_sum)
+                     subspace_leq, subspace_sum, unit)
 from .maximal import (MaximalRecord, PrimitiveKind, complements_of, is_maximal,
                       is_frattini_factor, maximal_subalgebras,
                       monolithic_supplements, primitive_type, record_for,
@@ -186,10 +186,6 @@ def crossing_catalog(l: LieAlgebra) -> tuple[MCrossing, ...]:
     return tuple(out)
 
 
-def _rows_set(subspaces) -> frozenset:
-    return frozenset(s.rows for s in subspaces)
-
-
 def m_crossing_swap(x: MCrossing) -> MCrossing:
     """Swap the crossing [A/B -> C/D] into [A/C -> B/D].
 
@@ -211,7 +207,7 @@ def m_crossing_swap(x: MCrossing) -> MCrossing:
         raise VerificationError("swapped top is not Frattini")
     if not mid_bot.supplemented:
         raise VerificationError("swapped bottom is not supplemented")
-    if _rows_set(mid_bot.supplements) != _rows_set(x.bottom.supplements):
+    if set(mid_bot.supplements) != set(x.bottom.supplements):
         raise VerificationError(
             "swapped bottom must have exactly the supplements of the "
             "original bottom")
@@ -227,8 +223,7 @@ def _action_matrices(f: ChiefFactor):
     l = f.algebra
     qc = quotient_coords(f.a, f.b)
     d = qc.dim
-    lifts = tuple(qc.lift(tuple(1 if t == s else 0 for t in range(d)))
-                  for s in range(d))
+    lifts = tuple(qc.lift(unit(s, d)) for s in range(d))
     mats = []
     for i in range(l.n):
         e = l.basis_vector(i)
@@ -266,16 +261,12 @@ def module_hom_space(f: ChiefFactor, g: ChiefFactor) -> Subspace:
 
 
 def _factor_bracket(f: ChiefFactor, qc, lifts, u, v):
-    l = f.algebra
-    p = l.p
-    x = [0] * l.n
-    y = [0] * l.n
-    for s, (cu, cv) in enumerate(zip(u, v)):
-        if cu % p:
-            x = [(xx + cu * ll) % p for xx, ll in zip(x, lifts[s])]
-        if cv % p:
-            y = [(yy + cv * ll) % p for yy, ll in zip(y, lifts[s])]
-    return qc.project(bracket(l, tuple(x), tuple(y)))
+    """[u, v] in the factor algebra A/B, in the quotient coordinates qc.
+
+    lifts (qc's lifts of the unit vectors) goes unused: qc.lift(u) already
+    is the u-combination of them.
+    """
+    return qc.project(bracket(f.algebra, qc.lift(u), qc.lift(v)))
 
 
 @lru_cache(maxsize=None)
@@ -312,20 +303,8 @@ def l_isomorphic(f: ChiefFactor, g: ChiefFactor) -> Matrix | None:
                 "nonzero module homomorphism between chief factors is "
                 "singular")
         theta = Matrix.from_rows(rows, p)
-        ok = True
-        for s in range(d):
-            for t in range(s + 1, d):
-                es = tuple(1 if q == s else 0 for q in range(d))
-                et = tuple(1 if q == t else 0 for q in range(d))
-                lhs = theta.apply(_factor_bracket(f, qf, liftsf, es, et))
-                rhs = _factor_bracket(g, qg, liftsg, theta.apply(es),
-                                      theta.apply(et))
-                if lhs != rhs:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        if preserves_brackets(theta, partial(_factor_bracket, f, qf, liftsf),
+                              partial(_factor_bracket, g, qg, liftsg)):
             return theta
     return None
 
@@ -435,13 +414,13 @@ def m_related(f: ChiefFactor, g: ChiefFactor,
 
 def common_supplements(f: ChiefFactor, g: ChiefFactor) -> tuple[Subspace, ...]:
     """Maximal subalgebras supplementing both factors."""
-    other = _rows_set(g.supplements)
-    return tuple(m for m in f.supplements if m.rows in other)
+    other = set(g.supplements)
+    return tuple(m for m in f.supplements if m in other)
 
 
 def common_complements(f: ChiefFactor, g: ChiefFactor) -> tuple[Subspace, ...]:
-    other = _rows_set(g.complements)
-    return tuple(m for m in f.complements if m.rows in other)
+    other = set(g.complements)
+    return tuple(m for m in f.complements if m in other)
 
 
 # -- transfer property checks down a descent --------------------------------
@@ -526,13 +505,12 @@ def descent_transfer_checks(f: ChiefFactor, g: ChiefFactor,
     if not g.abelian:
         mono_f = monolithic_supplements(l, a_, b_)
         mono_g = monolithic_supplements(l, c_, d_)
-        eq = (_rows_set(r.subalgebra for r in mono_f.records)
-              == _rows_set(r.subalgebra for r in mono_g.records))
+        eq = ({r.subalgebra for r in mono_f.records}
+              == {r.subalgebra for r in mono_g.records})
         clauses.append(ClauseResult("monolithic_sets_match", True, eq))
         if is_chief_pair(l, b_, d_) and get_factor(l, b_, d_).abelian:
-            comp_ac = _rows_set(
-                m for m in pool if complements_relaxed(l, a_, c_, m))
-            eq = _rows_set(comp_bd) == comp_ac
+            comp_ac = {m for m in pool if complements_relaxed(l, a_, c_, m)}
+            eq = set(comp_bd) == comp_ac
             clauses.append(ClauseResult(
                 "abelian_bottom_complement_sets_match", True, eq))
         else:
@@ -566,11 +544,6 @@ class JoinResult:
     intersection: Subspace
 
 
-def _require(cond: bool, message: str):
-    if not cond:
-        raise VerificationError(message)
-
-
 def supplement_join(u: MaximalRecord, s: MaximalRecord,
                     f: ChiefFactor) -> JoinResult:
     """Join two maximal supplements U, S of f with distinct cores into the
@@ -581,67 +554,66 @@ def supplement_join(u: MaximalRecord, s: MaximalRecord,
     if u.subalgebra == s.subalgebra or u.core == s.core:
         raise ValueError("join requires distinct subalgebras with distinct "
                          "cores")
-    supp_rows = _rows_set(f.supplements)
-    if u.subalgebra.rows not in supp_rows or s.subalgebra.rows not in supp_rows:
+    if u.subalgebra not in f.supplements or s.subalgebra not in f.supplements:
         raise ValueError("join inputs must both supplement the factor")
 
     inter = subspace_intersect(u.subalgebra, s.subalgebra)
     m = subspace_sum(f.a, inter)
-    _require(is_maximal(l, m), "join of two supplements is not maximal")
+    require(is_maximal(l, m), "join of two supplements is not maximal")
     core_m = core(l, m)
-    _require(core_m == subspace_sum(f.a, subspace_intersect(u.core, s.core)),
-             "join core is not A plus the intersection of the cores")
+    require(core_m == subspace_sum(f.a, subspace_intersect(u.core, s.core)),
+            "join core is not A plus the intersection of the cores")
     rec = record_for(l, m)
 
     if f.abelian:
-        _require(rec.quotient_kind is PrimitiveKind.ONE_ABELIAN_MINIMAL,
-                 "join over an abelian factor must have an abelian-socle "
-                 "primitive quotient")
+        require(rec.quotient_kind is PrimitiveKind.ONE_ABELIAN_MINIMAL,
+                "join over an abelian factor must have an abelian-socle "
+                "primitive quotient")
         h = subspace_intersect(u.core, s.core)
         for top in (u.core, s.core):
-            _require(is_chief_pair(l, top, h),
-                     "core section over the core intersection is not chief")
-            _require(subspace_sum(top, m) == l.full
-                     and subspace_intersect(top, m) == h,
-                     "join does not complement a core section")
-        _require(subspace_intersect(m, u.subalgebra) == inter
-                 and subspace_intersect(m, s.subalgebra) == inter,
-                 "join meets an input beyond their intersection")
+            require(is_chief_pair(l, top, h),
+                    "core section over the core intersection is not chief")
+            require(subspace_sum(top, m) == l.full
+                    and subspace_intersect(top, m) == h,
+                    "join does not complement a core section")
+        require(subspace_intersect(m, u.subalgebra) == inter
+                and subspace_intersect(m, s.subalgebra) == inter,
+                "join meets an input beyond their intersection")
         return JoinResult("abelian_factor", rec, inter)
 
     ku, ks = u.quotient_kind, s.quotient_kind
     split = PrimitiveKind.TWO_NONABELIAN_MINIMALS
     if ku is split and ks is split:
-        _require(rec.quotient_kind is split,
-                 "join of two split supplements must be split")
+        require(rec.quotient_kind is split,
+                "join of two split supplements must be split")
         for top in (subspace_sum(f.a, s.core), subspace_sum(f.a, u.core)):
-            _require(is_chief_pair(l, top, core_m),
-                     "mixed section over the join core is not chief")
-            _require(subspace_sum(top, m) == l.full
-                     and subspace_intersect(top, m) == core_m,
-                     "join does not complement a mixed section")
-        _require(subspace_intersect(m, u.subalgebra) == inter
-                 and subspace_intersect(m, s.subalgebra) == inter,
-                 "join meets an input beyond their intersection")
+            require(is_chief_pair(l, top, core_m),
+                    "mixed section over the join core is not chief")
+            require(subspace_sum(top, m) == l.full
+                    and subspace_intersect(top, m) == core_m,
+                    "join does not complement a mixed section")
+        require(subspace_intersect(m, u.subalgebra) == inter
+                and subspace_intersect(m, s.subalgebra) == inter,
+                "join meets an input beyond their intersection")
         return JoinResult("both_split", rec, inter)
     if ks is split and ku is not split:
         u, s = s, u
         ku, ks = ks, ku
     if ku is split:
-        _require(s.monolithic,
-                 "non-split join partner must be monolithic")
-        _require(subspace_leq(u.core, s.core) and u.core != s.core,
-                 "split partner's core must sit strictly inside the "
-                 "monolithic partner's core")
-        _require(s.core == centralizer_of_factor(l, f.a, f.b),
-                 "monolithic partner's core must centralize the factor")
-        _require(rec.quotient_kind is PrimitiveKind.ONE_NONABELIAN_MINIMAL,
-                 "mixed join must have a monolithic nonabelian quotient")
-        _require(is_chief_pair(l, s.core, u.core),
-                 "section between the two cores is not chief")
-        _require(subspace_sum(s.core, m) == l.full
-                 and subspace_leq(u.core, subspace_intersect(s.core, m)),
-                 "join does not supplement the section between the cores")
+        require(s.monolithic,
+                "non-split join partner must be monolithic")
+        require(subspace_leq(u.core, s.core) and u.core != s.core,
+                "split partner's core must sit strictly inside the "
+                "monolithic partner's core")
+        require(s.core == centralizer_of_factor(l, f.a, f.b),
+                "monolithic partner's core must centralize the factor")
+        require(rec.quotient_kind is PrimitiveKind.ONE_NONABELIAN_MINIMAL,
+                "mixed join must have a monolithic nonabelian quotient")
+        require(is_chief_pair(l, s.core, u.core),
+                "section between the two cores is not chief")
+        require(subspace_sum(s.core, m) == l.full
+                and subspace_leq(u.core, subspace_intersect(s.core, m)),
+                "join does not supplement the section between the cores")
         return JoinResult("split_with_monolithic", rec, inter)
     raise VerificationError(
         "two monolithic supplements of a nonabelian chief factor must share "

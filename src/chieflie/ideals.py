@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .algebra import LieAlgebra, bracket, is_ideal, subspace_product
-from .linalg import (Subspace, nonzero_directions, quotient_coords, rref_rows,
-                     solve_linear, subspace_leq, subspace_sum)
+from .linalg import (Subspace, quotient_coords, solve_linear, subspace_leq,
+                     subspace_sum)
 
 
 def ideal_closure(l: LieAlgebra, seed: Subspace) -> Subspace:
@@ -57,14 +57,7 @@ def core(l: LieAlgebra, u: Subspace) -> Subspace:
         if not rows:
             return cur  # already an ideal
         _, kernel = solve_linear(rows, (0,) * len(rows), l.p)
-        nxt_rows = []
-        for t in kernel.rows:
-            acc = [0] * l.n
-            for c, r in zip(t, cur.rows):
-                if c:
-                    acc = [(a + c * b) % l.p for a, b in zip(acc, r)]
-            nxt_rows.append(tuple(acc))
-        nxt = Subspace(l.n, l.p, rref_rows(nxt_rows, l.p))
+        nxt = Subspace(l.n, l.p, [cur.combine(t) for t in kernel.rows])
         if nxt.dim == cur.dim:
             return nxt
         cur = nxt
@@ -106,18 +99,16 @@ def minimal_ideals_over(l: LieAlgebra, b: Subspace,
     top = within if within is not None else l.full
     if within is not None and not subspace_leq(b, within):
         raise ValueError("within must contain the base ideal")
-    qc = quotient_coords(top, b)
-    candidates: dict = {}
-    for direction in nonzero_directions(qc.dim, l.p):
-        v = qc.lift(direction)
-        closed = ideal_closure(l, subspace_sum(b, Subspace.span(l.n, l.p, [v])))
+    candidates = set()
+    for seed in quotient_coords(top, b).lines():
+        closed = ideal_closure(l, seed)
         if within is not None and not subspace_leq(closed, within):
             continue
-        candidates[closed.rows] = closed
+        candidates.add(closed)
     mins = []
-    for cand in candidates.values():
+    for cand in candidates:
         if not any(other.dim < cand.dim and subspace_leq(other, cand)
-                   for other in candidates.values()):
+                   for other in candidates):
             mins.append(cand)
     mins.sort(key=lambda s: s.key())
     return tuple(mins)
@@ -158,27 +149,22 @@ def is_chief_pair(l: LieAlgebra, a: Subspace, b: Subspace) -> bool:
         return False
     if not (is_ideal(l, a) and is_ideal(l, b)):
         return False
-    qc = quotient_coords(a, b)
-    for direction in nonzero_directions(qc.dim, l.p):
-        v = qc.lift(direction)
-        closed = ideal_closure(l, subspace_sum(b, Subspace.span(l.n, l.p, [v])))
-        if closed != a:
-            return False
-    return True
+    return all(ideal_closure(l, seed) == a
+               for seed in quotient_coords(a, b).lines())
 
 
 @lru_cache(maxsize=None)
 def all_ideals(l: LieAlgebra) -> tuple[Subspace, ...]:
     """Every ideal, by breadth-first growth through minimal overideals."""
-    seen = {l.zero_space.rows: l.zero_space}
+    seen = {l.zero_space}
     queue = [l.zero_space]
     while queue:
         cur = queue.pop()
         for nxt in minimal_ideals_over(l, cur):
-            if nxt.rows not in seen:
-                seen[nxt.rows] = nxt
+            if nxt not in seen:
+                seen.add(nxt)
                 queue.append(nxt)
-    out = sorted(seen.values(), key=lambda s: s.key())
+    out = sorted(seen, key=lambda s: s.key())
     return tuple(out)
 
 

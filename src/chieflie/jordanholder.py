@@ -35,26 +35,22 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import partial
 
 from .algebra import (LieAlgebra, QuotientPresentation, SubalgebraPresentation,
-                      bracket, is_ideal, is_subalgebra, quotient_algebra,
-                      restrict_algebra)
-from .errors import VerificationError
+                      bracket, is_ideal, is_subalgebra, preserves_brackets,
+                      quotient_algebra, restrict_algebra)
+from .errors import require
 from .factors import (ChiefFactor, LConnection, MCrossing, MRelation,
                       common_complements, common_supplements, descends_to,
                       get_factor, is_m_crossing, l_connected, m_related,
                       make_crossing)
 from .ideals import ChiefSeries, core, is_chief_pair, make_chief_series
 from .linalg import (BudgetExceeded, Matrix, Subspace, rref_rows,
-                     subspace_intersect, subspace_leq, subspace_sum)
+                     subspace_intersect, subspace_leq, subspace_sum, unit)
 from .maximal import is_maximal
 
 PERMUTATION_ENUM_CAP = 40_320  # 8!
-
-
-def _require(cond: bool, message: str):
-    if not cond:
-        raise VerificationError(message)
 
 
 def _section_factor(l: LieAlgebra, top: Subspace,
@@ -66,9 +62,9 @@ def _section_factor(l: LieAlgebra, top: Subspace,
     """
     if top == bot:
         return None
-    _require(is_chief_pair(l, top, bot),
-             "section of a chief factor along a series is neither "
-             "degenerate nor chief")
+    require(is_chief_pair(l, top, bot),
+            "section of a chief factor along a series is neither "
+            "degenerate nor chief")
     return get_factor(l, top, bot)
 
 
@@ -124,52 +120,52 @@ def transfer_supplemented(f: ChiefFactor,
                                   subspace_sum(b, series.terms[j - 1]))
         if section is not None and section.supplemented:
             qualifying.append(j)
-    _require(bool(qualifying),
-             "a supplemented factor must have at least one supplemented sum "
-             "section (the series starts inside its denominator)")
+    require(bool(qualifying),
+            "a supplemented factor must have at least one supplemented sum "
+            "section (the series starts inside its denominator)")
     index = max(qualifying)
     x = series.terms[index]
     y = series.terms[index - 1]
     series_factor = get_factor(l, x, y)
-    _require(series_factor.supplemented,
-             "series step at the transfer index must be supplemented")
+    require(series_factor.supplemented,
+            "series step at the transfer index must be supplemented")
     sum_middle = get_factor(l, subspace_sum(a, y), subspace_sum(b, y))
-    _require(descends_to(sum_middle, f),
-             "qualifying sum section must descend onto the input factor")
+    require(descends_to(sum_middle, f),
+            "qualifying sum section must descend onto the input factor")
 
     ax = subspace_sum(a, x)
     bx = subspace_sum(b, x)
     if ax == bx:
-        _require(ax == sum_middle.a,
-                 "collapsed sum over the step top must match the sum over "
-                 "its bottom")
-        _require(descends_to(sum_middle, series_factor),
-                 "sum section must descend onto the series step")
+        require(ax == sum_middle.a,
+                "collapsed sum over the step top must match the sum over "
+                "its bottom")
+        require(descends_to(sum_middle, series_factor),
+                "sum section must descend onto the series step")
         ay = subspace_intersect(a, y)
-        _require(ay == subspace_intersect(b, y) == subspace_intersect(b, x),
-                 "denominator intersections must agree in the collapsed case")
+        require(ay == subspace_intersect(b, y) == subspace_intersect(b, x),
+                "denominator intersections must agree in the collapsed case")
         inter_middle = _section_factor(l, subspace_intersect(a, x), ay)
-        _require(inter_middle is not None,
-                 "collapsed case must produce an intersection factor")
-        _require(descends_to(f, inter_middle),
-                 "input factor must descend onto the intersection section")
-        _require(descends_to(series_factor, inter_middle),
-                 "series step must descend onto the intersection section")
+        require(inter_middle is not None,
+                "collapsed case must produce an intersection factor")
+        require(descends_to(f, inter_middle),
+                "input factor must descend onto the intersection section")
+        require(descends_to(series_factor, inter_middle),
+                "series step must descend onto the intersection section")
         return SupplementedTransfer(f, series, index, "sum_collapses",
                                     series_factor, sum_middle,
                                     intersection_middle=inter_middle)
 
     top_factor = _section_factor(l, ax, bx)
-    _require(top_factor is not None and top_factor.frattini,
-             "first non-qualifying sum section must be a Frattini factor")
-    _require(is_m_crossing(top_factor, sum_middle),
-             "non-qualifying sum section must cross onto the qualifying one")
+    require(top_factor is not None and top_factor.frattini,
+            "first non-qualifying sum section must be a Frattini factor")
+    require(is_m_crossing(top_factor, sum_middle),
+            "non-qualifying sum section must cross onto the qualifying one")
     crossing = make_crossing(top_factor, sum_middle)
     upper_link = _section_factor(l, bx, sum_middle.b)
-    _require(upper_link is not None and upper_link.supplemented,
-             "denominator sum section must be a supplemented factor")
-    _require(descends_to(upper_link, series_factor),
-             "denominator sum section must descend onto the series step")
+    require(upper_link is not None and upper_link.supplemented,
+            "denominator sum section must be a supplemented factor")
+    require(descends_to(upper_link, series_factor),
+            "denominator sum section must descend onto the series step")
     return SupplementedTransfer(f, series, index, "sum_grows", series_factor,
                                 sum_middle, crossing=crossing,
                                 upper_link=upper_link)
@@ -218,56 +214,56 @@ def transfer_frattini(f: ChiefFactor, series: ChiefSeries) -> FrattiniTransfer:
         if section is not None and section.frattini:
             index = j
             break
-    _require(index is not None,
-             "a Frattini factor must have at least one Frattini intersection "
-             "section (the series ends above its numerator)")
+    require(index is not None,
+            "a Frattini factor must have at least one Frattini intersection "
+            "section (the series ends above its numerator)")
     x = series.terms[index]
     y = series.terms[index - 1]
     series_factor = get_factor(l, x, y)
-    _require(series_factor.frattini,
-             "series step at the transfer index must be Frattini")
+    require(series_factor.frattini,
+            "series step at the transfer index must be Frattini")
     inter_middle = get_factor(l, subspace_intersect(a, x),
                               subspace_intersect(b, x))
-    _require(descends_to(f, inter_middle),
-             "input factor must descend onto the qualifying intersection "
-             "section")
+    require(descends_to(f, inter_middle),
+            "input factor must descend onto the qualifying intersection "
+            "section")
 
     ay = subspace_intersect(a, y)
     by = subspace_intersect(b, y)
     if ay == by:
-        _require(ay == inter_middle.b,
-                 "collapsed intersection over the step bottom must match the "
-                 "intersection over its top")
-        _require(descends_to(series_factor, inter_middle),
-                 "series step must descend onto the intersection section")
+        require(ay == inter_middle.b,
+                "collapsed intersection over the step bottom must match the "
+                "intersection over its top")
+        require(descends_to(series_factor, inter_middle),
+                "series step must descend onto the intersection section")
         ax = subspace_sum(a, x)
-        _require(subspace_sum(a, y) == ax == subspace_sum(b, x),
-                 "numerator sums must agree in the collapsed case")
+        require(subspace_sum(a, y) == ax == subspace_sum(b, x),
+                "numerator sums must agree in the collapsed case")
         sum_middle = _section_factor(l, ax, subspace_sum(b, y))
-        _require(sum_middle is not None,
-                 "collapsed case must produce a sum factor")
-        _require(descends_to(sum_middle, f),
-                 "sum section must descend onto the input factor")
-        _require(descends_to(sum_middle, series_factor),
-                 "sum section must descend onto the series step")
+        require(sum_middle is not None,
+                "collapsed case must produce a sum factor")
+        require(descends_to(sum_middle, f),
+                "sum section must descend onto the input factor")
+        require(descends_to(sum_middle, series_factor),
+                "sum section must descend onto the series step")
         return FrattiniTransfer(f, series, index, "intersection_collapses",
                                 series_factor, inter_middle,
                                 sum_middle=sum_middle)
 
     bottom_factor = _section_factor(l, ay, by)
-    _require(bottom_factor is not None and bottom_factor.supplemented,
-             "last non-qualifying intersection section must be a "
-             "supplemented factor")
-    _require(is_m_crossing(inter_middle, bottom_factor),
-             "qualifying intersection section must cross onto the "
-             "non-qualifying one")
+    require(bottom_factor is not None and bottom_factor.supplemented,
+            "last non-qualifying intersection section must be a "
+            "supplemented factor")
+    require(is_m_crossing(inter_middle, bottom_factor),
+            "qualifying intersection section must cross onto the "
+            "non-qualifying one")
     crossing = make_crossing(inter_middle, bottom_factor)
     lower_link = _section_factor(l, inter_middle.a, ay)
-    _require(lower_link is not None,
-             "numerator intersection section must be a chief factor")
-    _require(descends_to(series_factor, lower_link),
-             "series step must descend onto the numerator intersection "
-             "section")
+    require(lower_link is not None,
+            "numerator intersection section must be a chief factor")
+    require(descends_to(series_factor, lower_link),
+            "series step must descend onto the numerator intersection "
+            "section")
     return FrattiniTransfer(f, series, index, "intersection_grows",
                             series_factor, inter_middle, crossing=crossing,
                             lower_link=lower_link)
@@ -349,8 +345,8 @@ def jh_permutation(first: ChiefSeries, second: ChiefSeries) -> JHReport:
     """
     _check_series_pair(first, second)
     l = first.algebra
-    _require(first.length == second.length,
-             "chief series between the same endpoints must have equal length")
+    require(first.length == second.length,
+            "chief series between the same endpoints must have equal length")
     matches = []
     sigma = []
     for i in range(1, first.length + 1):
@@ -362,26 +358,26 @@ def jh_permutation(first: ChiefSeries, second: ChiefSeries) -> JHReport:
         j = tr.index
         g = get_factor(l, second.terms[j], second.terms[j - 1])
         rel = m_related(f, g)
-        _require(rel is not None, "matched factors must be related")
+        require(rel is not None, "matched factors must be related")
         conn = l_connected(f, g)
-        _require(conn is not None, "matched factors must be connected")
-        _require(f.frattini == g.frattini and f.supplemented == g.supplemented,
-                 "matched factors must be classified identically")
+        require(conn is not None, "matched factors must be connected")
+        require(f.frattini == g.frattini and f.supplemented == g.supplemented,
+                "matched factors must be classified identically")
         shared_s = common_supplements(f, g) if f.supplemented else ()
         if f.supplemented and g.supplemented:
-            _require(bool(shared_s),
-                     "matched supplemented factors must share a maximal "
-                     "supplement")
+            require(bool(shared_s),
+                    "matched supplemented factors must share a maximal "
+                    "supplement")
         shared_c = common_complements(f, g) if f.complemented else ()
         if f.complemented and g.complemented:
-            _require(bool(shared_c),
-                     "matched complemented factors must share a maximal "
-                     "complement")
+            require(bool(shared_c),
+                    "matched complemented factors must share a maximal "
+                    "complement")
         sigma.append(j)
         matches.append(IndexMatch(i, j, f, g, rel, conn, tr,
                                   shared_s, shared_c))
-    _require(sorted(sigma) == list(range(1, first.length + 1)),
-             "transfer indices must form a permutation")
+    require(sorted(sigma) == list(range(1, first.length + 1)),
+            "transfer indices must form a permutation")
     return JHReport(l, first, second, tuple(sigma), tuple(matches))
 
 
@@ -399,8 +395,8 @@ def matching_permutations(first: ChiefSeries,
     if math.factorial(n) > PERMUTATION_ENUM_CAP:
         raise BudgetExceeded("permutation enumeration too large",
                              math.factorial(n))
-    _require(n == second.length,
-             "chief series between the same endpoints must have equal length")
+    require(n == second.length,
+            "chief series between the same endpoints must have equal length")
     fx = [get_factor(l, first.terms[i + 1], first.terms[i]) for i in range(n)]
     fy = [get_factor(l, second.terms[i + 1], second.terms[i])
           for i in range(n)]
@@ -447,25 +443,19 @@ def cut_and_paste(l: LieAlgebra, b: Subspace, u: Subspace) -> CutPaste:
     quotient = quotient_algebra(l, b)
     sub_quotient = quotient_algebra(inside.algebra, bu_sub)
     k = quotient.algebra.n
-    _require(sub_quotient.algebra.n == k,
-             "the two quotients must have equal dimension")
+    require(sub_quotient.algebra.n == k,
+            "the two quotients must have equal dimension")
     cols = []
     for s in range(k):
-        e = tuple(1 if t == s else 0 for t in range(k))
+        e = unit(s, k)
         cols.append(quotient.project(inside.to_parent(sub_quotient.lift(e))))
     theta_rows = tuple(tuple(cols[c][r] for c in range(k)) for r in range(k))
-    _require(len(rref_rows(theta_rows, l.p)) == k,
-             "natural map between the quotients must be bijective")
+    require(len(rref_rows(theta_rows, l.p)) == k,
+            "natural map between the quotients must be bijective")
     theta = Matrix.from_rows(theta_rows, l.p)
-    for i in range(k):
-        for j in range(i + 1, k):
-            ei = tuple(1 if t == i else 0 for t in range(k))
-            ej = tuple(1 if t == j else 0 for t in range(k))
-            lhs = theta.apply(bracket(sub_quotient.algebra, ei, ej))
-            rhs = bracket(quotient.algebra, theta.apply(ei), theta.apply(ej))
-            _require(lhs == rhs,
-                     "natural map between the quotients must preserve "
-                     "brackets")
+    require(preserves_brackets(theta, partial(bracket, sub_quotient.algebra),
+                               partial(bracket, quotient.algebra)),
+            "natural map between the quotients must preserve brackets")
     return CutPaste(l, b, u, inside, quotient, sub_quotient, theta)
 
 
@@ -483,9 +473,9 @@ def cut_series_down(cp: CutPaste, series: ChiefSeries) -> ChiefSeries:
     sub_terms = []
     for t in series.terms:
         tu = subspace_intersect(t, cp.u)
-        _require(subspace_sum(cp.b, tu) == t,
-                 "series term must be recovered as the ideal plus its trace "
-                 "on the supplement")
+        require(subspace_sum(cp.b, tu) == t,
+                "series term must be recovered as the ideal plus its trace "
+                "on the supplement")
         sub_terms.append(cp.inside.sub_subspace(tu))
     return make_chief_series(cp.inside.algebra, sub_terms)
 
@@ -505,8 +495,8 @@ def paste_series_up(cp: CutPaste, series: ChiefSeries) -> ChiefSeries:
     for t in series.terms:
         tp = cp.inside.parent_subspace(t)
         lifted = subspace_sum(cp.b, tp)
-        _require(subspace_intersect(lifted, cp.u) == tp,
-                 "pasted term must trace back to the original term")
+        require(subspace_intersect(lifted, cp.u) == tp,
+                "pasted term must trace back to the original term")
         parent_terms.append(lifted)
     return make_chief_series(cp.algebra, parent_terms)
 
@@ -524,12 +514,12 @@ def cut_maximal_down(cp: CutPaste, m: Subspace) -> Subspace:
         raise ValueError("the maximal subalgebra must contain the cut ideal")
     trace = subspace_intersect(m, cp.u)
     trace_sub = cp.inside.sub_subspace(trace)
-    _require(is_maximal(cp.inside.algebra, trace_sub),
-             "trace of a maximal subalgebra on the supplement must be "
-             "maximal there")
+    require(is_maximal(cp.inside.algebra, trace_sub),
+            "trace of a maximal subalgebra on the supplement must be "
+            "maximal there")
     core_trace = cp.inside.parent_subspace(core(cp.inside.algebra, trace_sub))
-    _require(core_trace == subspace_intersect(core(l, m), cp.u),
-             "core of the trace must be the trace of the core")
+    require(core_trace == subspace_intersect(core(l, m), cp.u),
+            "core of the trace must be the trace of the core")
     return trace
 
 
@@ -547,11 +537,11 @@ def paste_maximal_up(cp: CutPaste, t: Subspace) -> Subspace:
         raise ValueError("the subalgebra must contain the trace of the cut "
                          "ideal")
     m = subspace_sum(cp.b, t)
-    _require(is_maximal(cp.algebra, m),
-             "pasting the ideal onto a maximal trace must give a maximal "
-             "subalgebra")
+    require(is_maximal(cp.algebra, m),
+            "pasting the ideal onto a maximal trace must give a maximal "
+            "subalgebra")
     core_t = cp.inside.parent_subspace(core(cp.inside.algebra, t_sub))
-    _require(core(cp.algebra, m) == subspace_sum(cp.b, core_t),
-             "core of the pasted subalgebra must be the ideal plus the "
-             "original core")
+    require(core(cp.algebra, m) == subspace_sum(cp.b, core_t),
+            "core of the pasted subalgebra must be the ideal plus the "
+            "original core")
     return m

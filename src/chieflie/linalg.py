@@ -1,9 +1,10 @@
 """Exact linear algebra over GF(p): canonical subspaces and solvers.
 
-Vectors are tuples of ints in [0, p).  A subspace is stored as the reduced
-row echelon form of any spanning set, so structural equality and hashing
-give subspace equality, and (dim, rows) is a total deterministic order used
-for every canonical choice in the package.
+Vectors are tuples of ints in [0, p).  The Subspace constructor owns
+canonical form: it reduces whatever spanning rows it is given to reduced row
+echelon form, so no non-canonical Subspace can be built, structural equality
+and hashing are subspace equality, and (dim, rows) is a total deterministic
+order used for every canonical choice in the package.
 """
 
 from __future__ import annotations
@@ -35,14 +36,15 @@ Rows = tuple[Vector, ...]
 def vec_add(u: Vector, v: Vector, p: int) -> Vector:
     return tuple((a + b) % p for a, b in zip(u, v))
 
-def vec_sub(u: Vector, v: Vector, p: int) -> Vector:
-    return tuple((a - b) % p for a, b in zip(u, v))
-
 def vec_scale(c: int, u: Vector, p: int) -> Vector:
     return tuple((c * a) % p for a in u)
 
 def is_zero_vec(u: Vector) -> bool:
     return not any(u)
+
+def unit(i: int, n: int) -> Vector:
+    """The i-th standard basis vector of length n."""
+    return tuple(1 if j == i else 0 for j in range(n))
 
 
 def rref_rows(rows, p: int) -> Rows:
@@ -86,7 +88,11 @@ def _pivots_of(rows: Rows) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class Subspace:
-    """A subspace of GF(p)^n in canonical (RREF) form."""
+    """A subspace of GF(p)^n in canonical (RREF) form.
+
+    Construction reduces any spanning rows to their RREF, so rows is always
+    the canonical basis of the span it was given.
+    """
 
     n: int
     p: int
@@ -94,17 +100,19 @@ class Subspace:
     pivots: tuple[int, ...] = dc_field(default=(), compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "pivots", _pivots_of(self.rows))
+        rows = rref_rows(self.rows, self.p)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "pivots", _pivots_of(rows))
 
     # -- construction ------------------------------------------------------
 
     @classmethod
     def span(cls, n: int, p: int, vectors) -> "Subspace":
-        vectors = tuple(tuple(x % p for x in v) for v in vectors)
+        vectors = tuple(vectors)
         for v in vectors:
             if len(v) != n:
                 raise ValueError(f"vector of length {len(v)} in ambient dimension {n}")
-        return cls(n, p, rref_rows(vectors, p))
+        return cls(n, p, vectors)
 
     @classmethod
     def zero(cls, n: int, p: int) -> "Subspace":
@@ -112,8 +120,7 @@ class Subspace:
 
     @classmethod
     def full(cls, n: int, p: int) -> "Subspace":
-        eye = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-        return cls(n, p, eye)
+        return cls(n, p, tuple(unit(i, n) for i in range(n)))
 
     # -- basic queries -----------------------------------------------------
 
@@ -134,15 +141,24 @@ class Subspace:
     def contains(self, v: Vector) -> bool:
         return is_zero_vec(self.reduce(v))
 
+    def coords(self, v: Vector) -> Vector:
+        """Coordinates of v in the canonical basis; v must lie in this
+        subspace (unchecked), so the pivot entries are the coordinates."""
+        return tuple(v[piv] % self.p for piv in self.pivots)
+
+    def combine(self, coeffs) -> Vector:
+        """The member sum of coeffs[i] * rows[i]."""
+        p = self.p
+        acc = [0] * self.n
+        for c, row in zip(coeffs, self.rows):
+            if c % p:
+                acc = [(a + c * b) % p for a, b in zip(acc, row)]
+        return tuple(acc)
+
     def vectors(self):
         """All p^dim member vectors (small dims only)."""
-        p, n = self.p, self.n
-        for coeffs in itertools.product(range(p), repeat=self.dim):
-            acc = [0] * n
-            for c, row in zip(coeffs, self.rows):
-                if c:
-                    acc = [(a + c * b) % p for a, b in zip(acc, row)]
-            yield tuple(acc)
+        for coeffs in itertools.product(range(self.p), repeat=self.dim):
+            yield self.combine(coeffs)
 
     def key(self):
         """Total deterministic order: by dimension, then basis rows."""
@@ -161,7 +177,7 @@ def _check_ambient(u: Subspace, v: Subspace) -> None:
 
 def subspace_sum(u: Subspace, v: Subspace) -> Subspace:
     _check_ambient(u, v)
-    return Subspace(u.n, u.p, rref_rows(u.rows + v.rows, u.p))
+    return Subspace(u.n, u.p, u.rows + v.rows)
 
 
 def subspace_intersect(u: Subspace, v: Subspace) -> Subspace:
@@ -175,7 +191,7 @@ def subspace_intersect(u: Subspace, v: Subspace) -> Subspace:
     for row in rref_rows(stacked, p):
         if not any(row[:n]):
             out.append(row[n:])
-    return Subspace(n, p, rref_rows(out, p))
+    return Subspace(n, p, out)
 
 
 def subspace_leq(u: Subspace, v: Subspace) -> bool:
@@ -216,7 +232,7 @@ def solve_linear(a_rows, b: Vector, p: int):
         for row, piv in zip(hom, hom_pivots):
             vec[piv] = (-row[fc]) % p
         kernel_rows.append(tuple(vec))
-    kernel = Subspace(n, p, rref_rows(kernel_rows, p))
+    kernel = Subspace(n, p, kernel_rows)
     part = tuple(particular) if particular is not None else None
     return part, kernel
 
@@ -298,32 +314,31 @@ class QuotientCoords:
     def dim(self) -> int:
         return len(self._comp)
 
-    def _w_coords(self, v: Vector) -> Vector:
-        # Valid for v in W: RREF basis means coordinates sit at the pivots.
-        return tuple(v[piv] % self.space.p for piv in self.space.pivots)
-
     def project(self, v: Vector) -> Vector:
         if not self.space.contains(v):
             raise ValueError(f"vector {v} outside the ambient subspace")
-        resid = self._u_in_w.reduce(self._w_coords(v))
+        resid = self._u_in_w.reduce(self.space.coords(v))
         return tuple(resid[c] for c in self._comp)
 
     def lift(self, q: Vector) -> Vector:
-        p = self.space.p
-        acc = [0] * self.space.n
+        coeffs = [0] * self.space.dim
         for c, pos in zip(q, self._comp):
-            if c % p:
-                row = self.space.rows[pos]
-                acc = [(a + c * b) % p for a, b in zip(acc, row)]
-        return tuple(acc)
+            coeffs[pos] = c
+        return self.space.combine(coeffs)
+
+    def lines(self):
+        """Yield sub + <v> for one lifted v per line of space/sub; every X
+        with sub < X <= space contains one of them."""
+        sub = self.sub
+        for d in nonzero_directions(self.dim, sub.p):
+            yield Subspace(sub.n, sub.p, sub.rows + (self.lift(d),))
 
 
 def quotient_coords(space: Subspace, sub: Subspace) -> QuotientCoords:
     if not subspace_leq(sub, space):
         raise ValueError("quotient_coords requires sub <= space")
-    u_rows = rref_rows(tuple(
-        tuple(r[piv] for piv in space.pivots) for r in sub.rows), space.p)
-    u_in_w = Subspace(space.dim, space.p, u_rows)
+    u_in_w = Subspace(space.dim, space.p,
+                      tuple(space.coords(r) for r in sub.rows))
     comp = tuple(j for j in range(space.dim) if j not in u_in_w.pivots)
     return QuotientCoords(space, sub, u_in_w, comp)
 
@@ -348,7 +363,7 @@ class Matrix:
 
     @classmethod
     def identity(cls, n: int, p: int) -> "Matrix":
-        return cls(p, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+        return cls(p, tuple(unit(i, n) for i in range(n)))
 
     @property
     def nrows(self) -> int:

@@ -30,17 +30,19 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import IntEnum
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 
-from .algebra import (LieAlgebra, bracket, is_subalgebra, quotient_algebra,
-                      restrict_algebra, ad_matrix, subspace_product)
-from .errors import VerificationError
+from .algebra import (LieAlgebra, bracket, is_subalgebra, preserves_brackets,
+                      quotient_algebra, restrict_algebra, ad_matrix,
+                      subspace_product)
+from .errors import VerificationError, require
 from .ideals import (core, centralizer, is_chief_pair, minimal_ideals,
                      subalgebra_closure)
 from .linalg import (ENUM_COUNT_CAP, BudgetExceeded, Matrix, Subspace,
                      count_subspaces, enumerate_subspaces, nonzero_directions,
                      quotient_coords, rref_rows, solve_linear,
-                     subspace_intersect, subspace_leq, subspace_sum, vec_add)
+                     subspace_intersect, subspace_leq, subspace_sum, unit,
+                     vec_add)
 
 # Cap on solution families when enumerating complements of an abelian minimal
 # ideal (p ** kernel_dim candidate complements).
@@ -62,12 +64,8 @@ def is_maximal(l: LieAlgebra, u: Subspace) -> bool:
     """Proper subalgebra such that adjoining any outside vector generates L."""
     if u.dim >= l.n or not is_subalgebra(l, u):
         return False
-    qc = quotient_coords(l.full, u)
-    for d in nonzero_directions(qc.dim, l.p):
-        seed = subspace_sum(u, Subspace.span(l.n, l.p, [qc.lift(d)]))
-        if subalgebra_closure(l, seed).dim < l.n:
-            return False
-    return True
+    return all(subalgebra_closure(l, seed).dim == l.n
+               for seed in quotient_coords(l.full, u).lines())
 
 
 def enumerated_maximal_subalgebras(l: LieAlgebra,
@@ -88,11 +86,6 @@ def _hyperplanes(n: int, p: int) -> list[Subspace]:
     return out
 
 
-def _a_coords(a: Subspace, v, p: int):
-    # v must lie in a; with an RREF basis the pivot entries are the coords.
-    return tuple(v[piv] % p for piv in a.pivots)
-
-
 def _complement_subalgebras(l: LieAlgebra, a: Subspace) -> list[Subspace]:
     """All subalgebras M with M + A = L and M n A = 0, for an abelian ideal A.
 
@@ -105,9 +98,8 @@ def _complement_subalgebras(l: LieAlgebra, a: Subspace) -> list[Subspace]:
     dq, da = qc.dim, a.dim
     if dq == 0:
         return []
-    sigma = [qc.lift(tuple(1 if t == s else 0 for t in range(dq)))
-             for s in range(dq)]
-    act = [[_a_coords(a, bracket(l, sigma[s], a.rows[t]), p) for t in range(da)]
+    sigma = [qc.lift(unit(s, dq)) for s in range(dq)]
+    act = [[a.coords(bracket(l, sigma[s], a.rows[t])) for t in range(da)]
            for s in range(dq)]
     nunk = dq * da
     eq_rows: list[tuple[int, ...]] = []
@@ -116,11 +108,8 @@ def _complement_subalgebras(l: LieAlgebra, a: Subspace) -> list[Subspace]:
         for j in range(i + 1, dq):
             w = bracket(l, sigma[i], sigma[j])
             wq = qc.project(w)
-            wsig = [0] * l.n
-            for s in range(dq):
-                if wq[s]:
-                    wsig = [(x + wq[s] * y) % p for x, y in zip(wsig, sigma[s])]
-            resid = _a_coords(a, tuple((x - y) % p for x, y in zip(w, wsig)), p)
+            wsig = qc.lift(wq)
+            resid = a.coords(tuple((x - y) % p for x, y in zip(w, wsig)))
             for t0 in range(da):
                 row = [0] * nunk
                 for t in range(da):
@@ -144,14 +133,8 @@ def _complement_subalgebras(l: LieAlgebra, a: Subspace) -> list[Subspace]:
     out = []
     for kv in kernel.vectors():
         phi = tuple((x + y) % p for x, y in zip(part, kv))
-        rows = []
-        for s in range(dq):
-            vec = list(sigma[s])
-            for t in range(da):
-                c = phi[s * da + t]
-                if c:
-                    vec = [(x + c * y) % p for x, y in zip(vec, a.rows[t])]
-            rows.append(tuple(vec))
+        rows = [vec_add(sigma[s], a.combine(phi[s * da:(s + 1) * da]), p)
+                for s in range(dq)]
         out.append(Subspace.span(l.n, p, rows))
     return out
 
@@ -198,14 +181,6 @@ def _express(vec, basis, p):
     return part
 
 
-def _combine(vectors, coeffs, n, p):
-    acc = [0] * n
-    for c, v in zip(coeffs, vectors):
-        if c % p:
-            acc = [(x + c * y) % p for x, y in zip(acc, v)]
-    return tuple(acc)
-
-
 def _extend_iso(a: LieAlgebra, b: LieAlgebra, gens, imgs):
     """Grow a bracket-closed basis from generator images; None on conflict."""
     p = a.p
@@ -216,7 +191,7 @@ def _extend_iso(a: LieAlgebra, b: LieAlgebra, gens, imgs):
         if c is None:
             bas.append(tuple(g))
             img.append(tuple(h))
-        elif _combine(img, c, b.n, p) != tuple(x % p for x in h):
+        elif Matrix(p, tuple(zip(*img))).apply(c) != tuple(x % p for x in h):
             return None
     processed = set()
     while True:
@@ -235,17 +210,17 @@ def _extend_iso(a: LieAlgebra, b: LieAlgebra, gens, imgs):
                     img.append(wh)
                 elif any(wh):
                     return None
-            elif _combine(img, c, b.n, p) != wh:
+            elif Matrix(p, tuple(zip(*img))).apply(c) != wh:
                 return None
     if len(bas) < a.n:
         return None
+    image = Matrix(p, tuple(zip(*img)))
     cols = []
     for t in range(a.n):
-        e = tuple(1 if s == t else 0 for s in range(a.n))
-        c = _express(e, bas, p)
+        c = _express(unit(t, a.n), bas, p)
         if c is None:
             return None
-        cols.append(_combine(img, c, b.n, p))
+        cols.append(image.apply(c))
     rows = tuple(tuple(cols[t][i] for t in range(a.n)) for i in range(b.n))
     return Matrix.from_rows(rows, p)
 
@@ -282,18 +257,7 @@ def algebra_isomorphisms(a: LieAlgebra, b: LieAlgebra) -> tuple[Matrix, ...]:
             continue
         if len(rref_rows(theta.rows, p)) < n:
             continue
-        ok = True
-        for s in range(n):
-            for t in range(s + 1, n):
-                es = tuple(1 if x == s else 0 for x in range(n))
-                et = tuple(1 if x == t else 0 for x in range(n))
-                if theta.apply(bracket(a, es, et)) != bracket(
-                        b, theta.apply(es), theta.apply(et)):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        if preserves_brackets(theta, partial(bracket, a), partial(bracket, b)):
             found.append(theta)
     return tuple(found)
 
@@ -308,7 +272,7 @@ def _graph_maximals(l: LieAlgebra, a: Subspace, b: Subspace) -> list[Subspace]:
     for theta in algebra_isomorphisms(ra.algebra, rb.algebra):
         rows = []
         for s in range(a.dim):
-            es = tuple(1 if t == s else 0 for t in range(a.dim))
+            es = unit(s, a.dim)
             rows.append(vec_add(ra.to_parent(es), rb.to_parent(theta.apply(es)), l.p))
         out.append(Subspace.span(l.n, l.p, rows))
     return out
@@ -324,31 +288,29 @@ def maximal_subalgebras(l: LieAlgebra) -> tuple[Subspace, ...]:
         return ()
     if _is_abelian(l):
         return tuple(sorted(_hyperplanes(l.n, l.p), key=lambda s: s.key()))
-    found: dict[tuple, Subspace] = {}
+    found: set[Subspace] = set()
     mins = minimal_ideals(l)
     for a in mins:
         if a.dim == l.n:
             continue
         q = quotient_algebra(l, a)
         for mq in maximal_subalgebras(q.algebra):
-            m = q.preimage_subspace(mq)
-            found[m.rows] = m
+            found.add(q.preimage_subspace(mq))
     abelian_mins = [a for a in mins if _abelian_part(l, a)]
     if abelian_mins:
         for cand in _complement_subalgebras(l, abelian_mins[0]):
-            if cand.rows in found:
+            if cand in found:
                 continue
             if cand.dim == l.n - 1 or is_maximal(l, cand):
-                found[cand.rows] = cand
+                found.add(cand)
     elif (len(mins) == 2
           and mins[0].dim + mins[1].dim == l.n):
-        for cand in _graph_maximals(l, mins[0], mins[1]):
-            found[cand.rows] = cand
+        found.update(_graph_maximals(l, mins[0], mins[1]))
     else:
         count = count_subspaces(l.n, l.p)
         return enumerated_maximal_subalgebras(l) if count <= ENUM_COUNT_CAP \
             else _refuse(l, count)
-    return tuple(sorted(found.values(), key=lambda s: s.key()))
+    return tuple(sorted(found, key=lambda s: s.key()))
 
 
 def _refuse(l: LieAlgebra, count: int):
@@ -425,11 +387,6 @@ class PrimitivityReport:
                 f"witness={'none' if self.witness is None else self.witness.dim})")
 
 
-def _check(cond: bool, message: str):
-    if not cond:
-        raise VerificationError(message)
-
-
 @lru_cache(maxsize=None)
 def primitive_type(l: LieAlgebra) -> PrimitivityReport:
     """Classify L as non-primitive or primitive of kind 1, 2 or 3.
@@ -444,8 +401,8 @@ def primitive_type(l: LieAlgebra) -> PrimitivityReport:
     corefree = [m for m, c in pairs if c.dim == 0]
     mins = minimal_ideals(l)
     if not corefree:
-        _check(all(c.dim > 0 for _, c in pairs),
-               "non-primitive algebra with a zero core in evidence")
+        require(all(c.dim > 0 for _, c in pairs),
+                "non-primitive algebra with a zero core in evidence")
         return PrimitivityReport(l, PrimitiveKind.NOT_PRIMITIVE, None, mins, pairs)
     u = corefree[0]
     full = l.full
@@ -453,33 +410,33 @@ def primitive_type(l: LieAlgebra) -> PrimitivityReport:
         a = mins[0]
         ca = centralizer(l, a)
         if _abelian_part(l, a):
-            _check(ca == a, "abelian socle is not self-centralizing")
-            _check(subspace_intersect(u, a).dim == 0,
-                   "witness does not complement the abelian socle")
-            _check(subspace_sum(u, a) == full,
-                   "witness plus abelian socle is not everything")
+            require(ca == a, "abelian socle is not self-centralizing")
+            require(subspace_intersect(u, a).dim == 0,
+                    "witness does not complement the abelian socle")
+            require(subspace_sum(u, a) == full,
+                    "witness plus abelian socle is not everything")
             return PrimitivityReport(l, PrimitiveKind.ONE_ABELIAN_MINIMAL, u, mins, ())
-        _check(ca.dim == 0, "nonabelian monolithic socle has a centralizer")
-        _check(subspace_sum(u, a) == full,
-               "witness plus nonabelian socle is not everything")
+        require(ca.dim == 0, "nonabelian monolithic socle has a centralizer")
+        require(subspace_sum(u, a) == full,
+                "witness plus nonabelian socle is not everything")
         return PrimitivityReport(l, PrimitiveKind.ONE_NONABELIAN_MINIMAL, u, mins, ())
     if len(mins) == 2 and not any(_abelian_part(l, a) for a in mins):
         a, b = mins
         for x in (a, b):
-            _check(subspace_intersect(u, x).dim == 0,
-                   "witness meets a minimal ideal of the split socle")
-            _check(subspace_sum(u, x) == full,
-                   "witness plus a minimal ideal is not everything")
-        _check(centralizer(l, a) == b and centralizer(l, b) == a,
-               "the two minimal ideals are not each other's centralizers")
+            require(subspace_intersect(u, x).dim == 0,
+                    "witness meets a minimal ideal of the split socle")
+            require(subspace_sum(u, x) == full,
+                    "witness plus a minimal ideal is not everything")
+        require(centralizer(l, a) == b and centralizer(l, b) == a,
+                "the two minimal ideals are not each other's centralizers")
         soc = subspace_sum(a, b)
         g = subspace_intersect(soc, u)
-        _check(not _abelian_part(l, g), "socle trace on the witness is abelian")
+        require(not _abelian_part(l, g), "socle trace on the witness is abelian")
         ra = restrict_algebra(l, a).algebra
-        _check(bool(algebra_isomorphisms(ra, restrict_algebra(l, b).algebra)),
-               "the two minimal ideals are not isomorphic")
-        _check(bool(algebra_isomorphisms(ra, restrict_algebra(l, g).algebra)),
-               "socle trace on the witness is not isomorphic to the minimal ideals")
+        require(bool(algebra_isomorphisms(ra, restrict_algebra(l, b).algebra)),
+                "the two minimal ideals are not isomorphic")
+        require(bool(algebra_isomorphisms(ra, restrict_algebra(l, g).algebra)),
+                "socle trace on the witness is not isomorphic to the minimal ideals")
         return PrimitivityReport(l, PrimitiveKind.TWO_NONABELIAN_MINIMALS, u, mins, ())
     raise VerificationError(
         f"primitive algebra with unexpected socle shape: "

@@ -12,7 +12,7 @@ from __future__ import annotations
 from itertools import product
 
 from .algebra import LieAlgebra, bracket
-from .linalg import (Subspace, enumerate_subspaces, rref_rows, subspace_leq)
+from .linalg import Subspace, enumerate_subspaces, subspace_leq
 
 
 def _closed_under_bracket(l: LieAlgebra, u: Subspace, w: Subspace) -> bool:
@@ -45,7 +45,7 @@ def oracle_frattini(l: LieAlgebra, cap: int = 120_000) -> Subspace:
     acc = l.full
     for m in maxes:
         inter = [row for row in acc.vectors() if not any(m.reduce(row))]
-        acc = Subspace(l.n, l.p, rref_rows(inter, l.p)) if inter else l.zero_space
+        acc = Subspace(l.n, l.p, inter)
     return acc
 
 
@@ -87,7 +87,7 @@ def oracle_centralizer(l: LieAlgebra, a: Subspace, b: Subspace,
     for x in product(range(l.p), repeat=l.n):
         if all(not any(b.reduce(bracket(l, x, y))) for y in a.rows):
             hits.append(x)
-    return Subspace(l.n, l.p, rref_rows(hits, l.p))
+    return Subspace(l.n, l.p, hits)
 
 
 def oracle_chief_series_count(l: LieAlgebra, cap: int = 120_000) -> int:

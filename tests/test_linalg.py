@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chieflie.linalg import (BudgetExceeded, Matrix, Subspace, count_subspaces,
                              enumerate_subspaces, gaussian_binomial,
@@ -58,6 +59,27 @@ def test_subspace_structural_equality_and_hash():
     assert a == b
     assert hash(a) == hash(b)
     assert a != Subspace.span(3, 2, [(1, 1, 0)])
+
+
+def test_constructor_canonicalizes_raw_rows():
+    raw = Subspace(2, 2, ((1, 1), (0, 1)))
+    assert raw == Subspace.full(2, 2)
+    assert hash(raw) == hash(Subspace.full(2, 2))
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_constructor_is_canonical_property(data):
+    p = data.draw(st.sampled_from((2, 3, 5)))
+    n = data.draw(st.integers(1, 5))
+    entry = st.integers(-p, 2 * p - 1)
+    rows = data.draw(st.lists(st.tuples(*[entry] * n), max_size=6))
+    s = Subspace(n, p, rows)
+    assert s == Subspace.span(n, p, rows)
+    assert rref_rows(s.rows, p) == s.rows
+    assert all(s.contains(r) for r in rows)
+    coeffs = data.draw(st.tuples(*[st.integers(0, p - 1)] * s.dim))
+    assert s.coords(s.combine(coeffs)) == coeffs
 
 
 # ---------------------------------------------------------------------------
