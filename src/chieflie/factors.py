@@ -135,6 +135,12 @@ def complements_relaxed(l: LieAlgebra, a: Subspace, b: Subspace,
 # -- descent ----------------------------------------------------------------
 
 
+# descends_to and the two series transfers (jordanholder) are memoised
+# because matching revisits the same arguments: over all 1663 ordered pairs
+# of criterion 3, descends_to runs 179,953 times on 4,359 distinct factor
+# pairs and the transfers 6,132 times on 2,682 distinct (factor, series)
+# pairs.
+@lru_cache(maxsize=None)
 def descends_to(f: ChiefFactor, g: ChiefFactor) -> bool:
     """Whether A/B descends onto C/D: A = B + C and B n C = D."""
     if f.algebra != g.algebra:
@@ -231,7 +237,7 @@ def _action_matrices(f: ChiefFactor):
         cols = [qc.project(bracket(l, e, lifts[s])) for s in range(d)]
         mats.append(tuple(tuple(cols[s][r] for s in range(d))
                           for r in range(d)))
-    return qc, lifts, mats
+    return qc, mats
 
 
 @lru_cache(maxsize=None)
@@ -242,8 +248,8 @@ def module_hom_space(f: ChiefFactor, g: ChiefFactor) -> Subspace:
     l = f.algebra
     p = l.p
     df, dg = f.dim, g.dim
-    _, _, actf = _action_matrices(f)
-    _, _, actg = _action_matrices(g)
+    _, actf = _action_matrices(f)
+    _, actg = _action_matrices(g)
     nunk = dg * df
     rows = []
     for i in range(l.n):
@@ -260,12 +266,8 @@ def module_hom_space(f: ChiefFactor, g: ChiefFactor) -> Subspace:
     return kernel
 
 
-def _factor_bracket(f: ChiefFactor, qc, lifts, u, v):
-    """[u, v] in the factor algebra A/B, in the quotient coordinates qc.
-
-    lifts (qc's lifts of the unit vectors) goes unused: qc.lift(u) already
-    is the u-combination of them.
-    """
+def _factor_bracket(f: ChiefFactor, qc, u, v):
+    """[u, v] in the factor algebra A/B, in the quotient coordinates qc."""
     return qc.project(bracket(f.algebra, qc.lift(u), qc.lift(v)))
 
 
@@ -292,8 +294,8 @@ def l_isomorphic(f: ChiefFactor, g: ChiefFactor) -> Matrix | None:
         raise BudgetExceeded(
             f"module homomorphism scan of size p^{kernel.dim} exceeds cap",
             p ** kernel.dim)
-    qf, liftsf, _ = _action_matrices(f)
-    qg, liftsg, _ = _action_matrices(g)
+    qf, _ = _action_matrices(f)
+    qg, _ = _action_matrices(g)
     for flat in kernel.vectors():
         if not any(flat):
             continue
@@ -303,8 +305,8 @@ def l_isomorphic(f: ChiefFactor, g: ChiefFactor) -> Matrix | None:
                 "nonzero module homomorphism between chief factors is "
                 "singular")
         theta = Matrix.from_rows(rows, p)
-        if preserves_brackets(theta, partial(_factor_bracket, f, qf, liftsf),
-                              partial(_factor_bracket, g, qg, liftsg)):
+        if preserves_brackets(theta, partial(_factor_bracket, f, qf),
+                              partial(_factor_bracket, g, qg)):
             return theta
     return None
 

@@ -35,7 +35,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 from .algebra import (LieAlgebra, QuotientPresentation, SubalgebraPresentation,
                       bracket, is_ideal, is_subalgebra, preserves_brackets,
@@ -107,6 +107,7 @@ class SupplementedTransfer:
     upper_link: ChiefFactor | None = None
 
 
+@lru_cache(maxsize=None)
 def transfer_supplemented(f: ChiefFactor,
                           series: ChiefSeries) -> SupplementedTransfer:
     _check_series_envelope(f, series)
@@ -201,6 +202,7 @@ class FrattiniTransfer:
     lower_link: ChiefFactor | None = None
 
 
+@lru_cache(maxsize=None)
 def transfer_frattini(f: ChiefFactor, series: ChiefSeries) -> FrattiniTransfer:
     _check_series_envelope(f, series)
     if not f.frattini:

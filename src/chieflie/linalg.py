@@ -328,10 +328,17 @@ class QuotientCoords:
 
     def lines(self):
         """Yield sub + <v> for one lifted v per line of space/sub; every X
-        with sub < X <= space contains one of them."""
+        with sub < X <= space contains one of them.  Refuses
+        (BudgetExceeded) when there are more than ENUM_COUNT_CAP lines."""
         sub = self.sub
-        for d in nonzero_directions(self.dim, sub.p):
-            yield Subspace(sub.n, sub.p, sub.rows + (self.lift(d),))
+        k, p = self.dim, sub.p
+        count = (p ** k - 1) // (p - 1)
+        if count > ENUM_COUNT_CAP:
+            raise BudgetExceeded(
+                f"direction scan of a {k}-dimensional quotient over GF({p}) "
+                f"exceeds cap {ENUM_COUNT_CAP}", count)
+        for d in nonzero_directions(k, p):
+            yield Subspace(sub.n, p, sub.rows + (self.lift(d),))
 
 
 def quotient_coords(space: Subspace, sub: Subspace) -> QuotientCoords:

@@ -281,8 +281,8 @@ def brute_module_homs(f, g):
     l = f.algebra
     p = l.p
     from chieflie.factors import _action_matrices
-    _, _, actf = _action_matrices(f)
-    _, _, actg = _action_matrices(g)
+    _, actf = _action_matrices(f)
+    _, actg = _action_matrices(g)
     df, dg = f.dim, g.dim
     homs = []
     for flat in itertools.product(range(p), repeat=df * dg):
@@ -378,8 +378,8 @@ def test_l_isomorphic_transports_action_and_bracket():
     assert theta is not None
     # independently re-verify the two defining conditions
     from chieflie.factors import _action_matrices, _factor_bracket
-    qf, liftsf, actf = _action_matrices(f1)
-    qg, liftsg, actg = _action_matrices(top2)
+    qf, actf = _action_matrices(f1)
+    qg, actg = _action_matrices(top2)
     p = l.p
     d = f1.dim
     for i in range(l.n):
@@ -396,9 +396,8 @@ def test_l_isomorphic_transports_action_and_bracket():
         for t in range(d):
             es = tuple(1 if q == s else 0 for q in range(d))
             et = tuple(1 if q == t else 0 for q in range(d))
-            assert theta.apply(_factor_bracket(f1, qf, liftsf, es, et)) == \
-                _factor_bracket(top2, qg, liftsg, theta.apply(es),
-                                theta.apply(et))
+            assert theta.apply(_factor_bracket(f1, qf, es, et)) == \
+                _factor_bracket(top2, qg, theta.apply(es), theta.apply(et))
 
 
 def test_l_isomorphic_self():

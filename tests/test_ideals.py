@@ -1,8 +1,10 @@
 """Ideal machinery versus the brute-force oracle, plus frozen known values."""
 
+import time
+
 import pytest
 
-from chieflie.algebra import is_ideal
+from chieflie.algebra import direct_sum, is_ideal
 from chieflie.corpus import (abelian, h3_plus_line, heisenberg, nonabelian2,
                              r4, random_solvable, sl2, sl2sum)
 from chieflie.ideals import (ChiefSeries, all_ideals, centralizer,
@@ -11,7 +13,8 @@ from chieflie.ideals import (ChiefSeries, all_ideals, centralizer,
                              ideal_closure, is_chief_pair, is_solvable,
                              make_chief_series, minimal_ideals,
                              minimal_ideals_over, socle, subalgebra_closure)
-from chieflie.linalg import Subspace, enumerate_subspaces, subspace_leq
+from chieflie.linalg import (BudgetExceeded, Subspace, enumerate_subspaces,
+                             subspace_leq)
 from chieflie.oracle import (oracle_centralizer, oracle_chief_series_count,
                              oracle_core, oracle_ideals, oracle_is_chief,
                              oracle_minimal_ideals_over)
@@ -152,6 +155,17 @@ def test_minimal_ideals_over_rejects_non_ideal_base():
     l = nonabelian2(2)
     with pytest.raises(ValueError):
         minimal_ideals_over(l, span(l, (1, 0)))
+
+
+def test_minimal_ideals_direction_scan_budget_refusal():
+    # sl2 + sl2 + sl2 over GF(5): (5^9 - 1)/4 = 488,281 directions
+    l = direct_sum(sl2(5), direct_sum(sl2(5), sl2(5)))
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded) as err:
+        minimal_ideals(l)
+    assert time.perf_counter() - start < 1.0
+    assert err.value.count == 488_281
+    assert "9-dimensional quotient over GF(5)" in str(err.value)
 
 
 def test_socle_known_values():

@@ -7,7 +7,8 @@ import pytest
 from chieflie.corpus import (abelian, h3_plus_line, heisenberg, nonabelian2,
                              r4, random_solvable, sl2sum)
 from chieflie.errors import VerificationError
-from chieflie.factors import crossing_catalog, descends_to, get_factor
+from chieflie.factors import (chief_factor_catalog, crossing_catalog,
+                              descends_to, get_factor)
 from chieflie.ideals import (chief_series, core, enumerate_chief_series,
                              make_chief_series)
 from chieflie.jordanholder import (CutPaste, cut_and_paste, cut_maximal_down,
@@ -72,8 +73,10 @@ def test_transfer_supplemented_crossing_case_h3_plus_line():
 def test_transfer_supplemented_rejects_frattini_input():
     l = heisenberg(2)
     f = get_factor(l, span(l, (0, 0, 1)), span(l))
-    with pytest.raises(ValueError, match="supplemented"):
-        transfer_supplemented(f, chief_series(l))
+    # a second call must raise again: a memoised function caches no raise
+    for _ in range(2):
+        with pytest.raises(ValueError, match="supplemented"):
+            transfer_supplemented(f, chief_series(l))
 
 
 def test_transfer_supplemented_rejects_bad_envelope():
@@ -139,6 +142,29 @@ def test_transfer_frattini_rejects_supplemented_input():
     f = get_factor(l, plane, z)
     with pytest.raises(ValueError, match="Frattini"):
         transfer_frattini(f, chief_series(l))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as e:
+        return type(e), str(e)
+
+
+@pytest.mark.parametrize("l", [r4(2), h3_plus_line(2)])
+def test_memoised_descent_and_transfers_match_slow_path(l):
+    # the first call fills the cache, so the second is answered from it
+    catalog = chief_factor_catalog(l)
+    for f in catalog:
+        for g in catalog:
+            descends_to(f, g)
+            assert descends_to(f, g) == descends_to.__wrapped__(f, g)
+    for series in all_series(l):
+        for f in catalog:
+            for fn in (transfer_supplemented, transfer_frattini):
+                _outcome(fn, f, series)
+                assert _outcome(fn, f, series) == \
+                    _outcome(fn.__wrapped__, f, series)
 
 
 def test_section_scan_degeneracy_is_monotone():
