@@ -108,10 +108,10 @@ def get_factor(l: LieAlgebra, a: Subspace, b: Subspace) -> ChiefFactor:
 
 @lru_cache(maxsize=None)
 def chief_factor_catalog(l: LieAlgebra) -> tuple[ChiefFactor, ...]:
-    """Every chief factor between ideals of L, canonically ordered."""
-    ideals = all_ideals(l)
+    """Every chief factor between ideals of L, canonically ordered: A/B is
+    chief exactly when A is a minimal ideal over B."""
     out = [get_factor(l, a, b)
-           for b in ideals for a in ideals if is_chief_pair(l, a, b)]
+           for b in all_ideals(l) for a in minimal_ideals_over(l, b)]
     out.sort(key=ChiefFactor.key)
     return tuple(out)
 

@@ -12,18 +12,39 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .algebra import LieAlgebra, bracket, is_ideal, subspace_product
+from .field import prime_field
 from .linalg import (Subspace, quotient_coords, solve_linear, subspace_leq,
                      subspace_sum)
 
 
-def ideal_closure(l: LieAlgebra, seed: Subspace) -> Subspace:
-    """Smallest ideal containing seed: iterate U -> U + [L, U]."""
-    u = seed
-    while True:
-        nxt = subspace_sum(u, subspace_product(l, l.full, u))
-        if nxt.dim == u.dim:
-            return nxt
-        u = nxt
+def ideal_closure(l: LieAlgebra, seed: Subspace,
+                  base: Subspace | None = None) -> Subspace:
+    """Smallest ideal containing seed and base, by spinning seed under ad L:
+    each vector is reduced against a semi-echelon basis, only rows new to
+    the span are bracketed with the basis of L, and one RREF runs at the
+    end.  base must already be an ideal (unchecked), so it is never spun."""
+    if (seed.n, seed.p) != (l.n, l.p):
+        raise ValueError(f"seed lies in GF({seed.p})^{seed.n}, not in L")
+    p, inv = l.p, prime_field(l.p).inv_table
+    basis = [] if base is None else list(zip(base.rows, base.pivots))
+    todo, fresh = list(seed.rows), []  # vectors to reduce; rows to bracket
+    while len(basis) < l.n and (todo or fresh):
+        if not todo:
+            u = fresh.pop()
+            todo = [bracket(l, e, u) for e in l.full.rows]
+        v = todo.pop()
+        for row, piv in basis:
+            c = v[piv]
+            if c:
+                v = [(x - c * y) % p for x, y in zip(v, row)]
+        piv = next((j for j, x in enumerate(v) if x), None)
+        if piv is not None:
+            row = tuple(inv[v[piv]] * x % p for x in v)
+            basis.append((row, piv))
+            fresh.append(row)
+    if len(basis) == l.n:
+        return l.full
+    return Subspace(l.n, p, [row for row, _ in basis])
 
 
 def subalgebra_closure(l: LieAlgebra, seed: Subspace) -> Subspace:
@@ -99,19 +120,12 @@ def minimal_ideals_over(l: LieAlgebra, b: Subspace,
     top = within if within is not None else l.full
     if within is not None and not subspace_leq(b, within):
         raise ValueError("within must contain the base ideal")
-    candidates = set()
-    for seed in quotient_coords(top, b).lines():
-        closed = ideal_closure(l, seed)
-        if within is not None and not subspace_leq(closed, within):
-            continue
-        candidates.add(closed)
-    mins = []
-    for cand in candidates:
-        if not any(other.dim < cand.dim and subspace_leq(other, cand)
-                   for other in candidates):
-            mins.append(cand)
-    mins.sort(key=lambda s: s.key())
-    return tuple(mins)
+    closures = {ideal_closure(l, Subspace(l.n, l.p, (v,)), b)
+                for v in quotient_coords(top, b).line_lifts()}
+    candidates = [c for c in closures if subspace_leq(c, top)]
+    mins = [c for c in candidates if not any(
+        o.dim < c.dim and subspace_leq(o, c) for o in candidates)]
+    return tuple(sorted(mins, key=Subspace.key))
 
 
 def minimal_ideals(l: LieAlgebra) -> tuple[Subspace, ...]:
@@ -149,8 +163,8 @@ def is_chief_pair(l: LieAlgebra, a: Subspace, b: Subspace) -> bool:
         return False
     if not (is_ideal(l, a) and is_ideal(l, b)):
         return False
-    return all(ideal_closure(l, seed) == a
-               for seed in quotient_coords(a, b).lines())
+    return all(ideal_closure(l, Subspace(l.n, l.p, (v,)), b) == a
+               for v in quotient_coords(a, b).line_lifts())
 
 
 @lru_cache(maxsize=None)
@@ -215,7 +229,7 @@ def chief_series(l: LieAlgebra, frm: Subspace | None = None,
     _check_endpoints(l, frm, to)
     terms = [frm]
     while terms[-1] != to:
-        step = minimal_ideals_over(l, terms[-1], within=to)
+        step = _minimal_ideals_within(l, terms[-1], to)
         if not step:
             raise RuntimeError("no minimal overideal found below the target; "
                                "endpoint is not an ideal?")
@@ -249,13 +263,20 @@ def enumerate_chief_series(l: LieAlgebra, frm: Subspace | None = None,
                 return False
             out.append(ChiefSeries(l, prefix))
             return True
-        for nxt in minimal_ideals_over(l, prefix[-1], within=to):
+        for nxt in _minimal_ideals_within(l, prefix[-1], to):
             if not extend(prefix + (nxt,)):
                 return False
         return True
 
     extend((frm,))
     return SeriesEnumeration(tuple(out), truncated, cap)
+
+
+def _minimal_ideals_within(l: LieAlgebra, b: Subspace, to: Subspace):
+    """minimal_ideals_over(l, b, within=to), as all_ideals keys it if to=L."""
+    if to == l.full:
+        return minimal_ideals_over(l, b)
+    return minimal_ideals_over(l, b, within=to)
 
 
 def _check_endpoints(l: LieAlgebra, frm: Subspace, to: Subspace) -> None:

@@ -326,19 +326,18 @@ class QuotientCoords:
             coeffs[pos] = c
         return self.space.combine(coeffs)
 
-    def lines(self):
-        """Yield sub + <v> for one lifted v per line of space/sub; every X
-        with sub < X <= space contains one of them.  Refuses
+    def line_lifts(self):
+        """Yield one lifted vector v per line of space/sub; every X with
+        sub < X <= space contains sub + <v> for one of them.  Refuses
         (BudgetExceeded) when there are more than ENUM_COUNT_CAP lines."""
-        sub = self.sub
-        k, p = self.dim, sub.p
+        k, p = self.dim, self.sub.p
         count = (p ** k - 1) // (p - 1)
         if count > ENUM_COUNT_CAP:
             raise BudgetExceeded(
                 f"direction scan of a {k}-dimensional quotient over GF({p}) "
                 f"exceeds cap {ENUM_COUNT_CAP}", count)
         for d in nonzero_directions(k, p):
-            yield Subspace(sub.n, p, sub.rows + (self.lift(d),))
+            yield self.lift(d)
 
 
 def quotient_coords(space: Subspace, sub: Subspace) -> QuotientCoords:

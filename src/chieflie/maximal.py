@@ -64,8 +64,9 @@ def is_maximal(l: LieAlgebra, u: Subspace) -> bool:
     """Proper subalgebra such that adjoining any outside vector generates L."""
     if u.dim >= l.n or not is_subalgebra(l, u):
         return False
-    return all(subalgebra_closure(l, seed).dim == l.n
-               for seed in quotient_coords(l.full, u).lines())
+    return all(
+        subalgebra_closure(l, Subspace(l.n, l.p, u.rows + (v,))).dim == l.n
+        for v in quotient_coords(l.full, u).line_lifts())
 
 
 def enumerated_maximal_subalgebras(l: LieAlgebra,

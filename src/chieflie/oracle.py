@@ -24,6 +24,17 @@ def _closed_under_bracket(l: LieAlgebra, u: Subspace, w: Subspace) -> bool:
     return True
 
 
+def oracle_ideal_closure(l: LieAlgebra, seed: Subspace) -> Subspace:
+    """Smallest ideal containing seed: iterate U -> U + [L, U] until the
+    dimension stops growing."""
+    u, last = seed, -1
+    while u.dim != last:
+        last = u.dim
+        u = Subspace(l.n, l.p, u.rows + tuple(
+            bracket(l, x, y) for x in l.full.rows for y in u.rows))
+    return u
+
+
 def oracle_subalgebras(l: LieAlgebra, cap: int = 120_000) -> list[Subspace]:
     return [u for u in enumerate_subspaces(l.n, l.p, count_cap=cap)
             if _closed_under_bracket(l, u, u)]

@@ -6,7 +6,7 @@ import pytest
 
 from chieflie.algebra import LieAlgebra, bracket, subspace_product
 from chieflie.corpus import (abelian, h3_plus_line, heisenberg, nonabelian2,
-                             r4, random_solvable, sl2, sl2sum)
+                             r4, random_solvable, registry, sl2, sl2sum)
 from chieflie.errors import VerificationError
 from chieflie.factors import (ChiefFactor, MCrossing, chief_factor_catalog,
                               common_complements, common_supplements,
@@ -119,6 +119,18 @@ def test_catalog_sizes():
         pairs = {(a.rows, b.rows) for b in all_ideals(l) for a in all_ideals(l)
                  if is_chief_pair(l, a, b)}
         assert {(f.a.rows, f.b.rows) for f in cat} == pairs, name
+
+
+def test_catalog_equals_chief_pair_filter():
+    """The catalog, built from the minimal ideals over each ideal, holds the
+    same factors in the same order as filtering all ideal pairs."""
+    algebras = [e.algebra for e in registry()] + \
+        [random_solvable(5, p, seed) for p in (2, 3) for seed in range(4)]
+    for l in algebras:
+        ideals = all_ideals(l)
+        want = sorted((get_factor(l, a, b) for b in ideals for a in ideals
+                       if is_chief_pair(l, a, b)), key=ChiefFactor.key)
+        assert list(chief_factor_catalog(l)) == want, l
 
 
 def test_h3_plus_line_frattini_factors_are_the_center_sections():

@@ -3,10 +3,11 @@
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chieflie.algebra import direct_sum, is_ideal
 from chieflie.corpus import (abelian, h3_plus_line, heisenberg, nonabelian2,
-                             r4, random_solvable, sl2, sl2sum)
+                             r4, random_solvable, registry, sl2, sl2sum)
 from chieflie.ideals import (ChiefSeries, all_ideals, centralizer,
                              centralizer_of_factor, chief_series, core,
                              derived_series, enumerate_chief_series,
@@ -16,8 +17,8 @@ from chieflie.ideals import (ChiefSeries, all_ideals, centralizer,
 from chieflie.linalg import (BudgetExceeded, Subspace, enumerate_subspaces,
                              subspace_leq)
 from chieflie.oracle import (oracle_centralizer, oracle_chief_series_count,
-                             oracle_core, oracle_ideals, oracle_is_chief,
-                             oracle_minimal_ideals_over)
+                             oracle_core, oracle_ideal_closure, oracle_ideals,
+                             oracle_is_chief, oracle_minimal_ideals_over)
 
 SMALL = [heisenberg(2), heisenberg(3), nonabelian2(2), nonabelian2(3),
          r4(2), h3_plus_line(2), abelian(3, 2)]
@@ -37,6 +38,11 @@ def test_ideal_closure_heisenberg():
     assert is_ideal(l, closed)
 
 
+def test_ideal_closure_rejects_foreign_seed():
+    with pytest.raises(ValueError):
+        ideal_closure(heisenberg(2), Subspace.zero(3, 3))
+
+
 def test_ideal_closure_fixed_point_on_ideals():
     for l in SMALL:
         for i in oracle_ideals(l):
@@ -51,6 +57,27 @@ def test_ideal_closure_is_smallest():
             best = min((i for i in ideals if subspace_leq(u, i)),
                        key=lambda s: s.dim)
             assert closed.dim == best.dim and closed == best
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_ideal_closure_matches_oracle_property(data):
+    """The spin agrees with the U -> U + [L, U] fixed point, both from a
+    seed subspace and from one vector over an ideal base."""
+    if data.draw(st.booleans()):
+        l = data.draw(st.sampled_from([e.algebra for e in registry()]))
+    else:
+        l = random_solvable(data.draw(st.integers(1, 5)),
+                            data.draw(st.sampled_from((2, 3, 5))),
+                            data.draw(st.integers(0, 10_000)))
+    vec = st.tuples(*[st.integers(0, l.p - 1)] * l.n)
+    seed = Subspace(l.n, l.p, data.draw(st.lists(vec, max_size=3)))
+    assert ideal_closure(l, seed) == oracle_ideal_closure(l, seed)
+    base = oracle_ideal_closure(
+        l, Subspace(l.n, l.p, data.draw(st.lists(vec, max_size=2))))
+    v = data.draw(vec)
+    assert ideal_closure(l, Subspace(l.n, l.p, (v,)), base) == \
+        oracle_ideal_closure(l, Subspace(l.n, l.p, base.rows + (v,)))
 
 
 def test_subalgebra_closure_sl2():
@@ -155,6 +182,25 @@ def test_minimal_ideals_over_rejects_non_ideal_base():
     l = nonabelian2(2)
     with pytest.raises(ValueError):
         minimal_ideals_over(l, span(l, (1, 0)))
+
+
+def test_chief_series_reuses_minimal_ideal_searches():
+    """Series built up to all of L key their searches as (l, b), the key
+    minimal_ideals and all_ideals use, so no search runs twice."""
+    l = sl2sum(5)
+    assert hasattr(minimal_ideals_over, "cache_info")
+    minimal_ideals_over.cache_clear()
+    minimal_ideals(l)
+    before = minimal_ideals_over.cache_info().misses
+    series = chief_series(l)
+    # one new search per term strictly between 0 and L; the zero base hits
+    assert minimal_ideals_over.cache_info().misses - before == \
+        len(series.terms) - 2
+    for b in all_ideals(l):  # all_ideals itself may be cached already
+        minimal_ideals_over(l, b)
+    before = minimal_ideals_over.cache_info().misses
+    assert enumerate_chief_series(l).series
+    assert minimal_ideals_over.cache_info().misses == before
 
 
 def test_minimal_ideals_direction_scan_budget_refusal():
