@@ -11,8 +11,8 @@ import itertools
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property, lru_cache
 
-from .linalg import (Matrix, QuotientCoords, Subspace, Vector, quotient_coords,
-                     solve_linear, unit)
+from .linalg import (Matrix, QuotientCoords, Subspace, Vector, _hash_once,
+                     quotient_coords, solve_linear, unit)
 
 
 class ValidationError(ValueError):
@@ -43,6 +43,7 @@ class ValidationReport:
                 f"[x,[y,z]]+[y,[z,x]]+[z,[x,y]] = {self.lhs}")
 
 
+@_hash_once
 @dataclass(frozen=True)
 class LieAlgebra:
     n: int
@@ -151,8 +152,7 @@ def is_subalgebra(l: LieAlgebra, u: Subspace) -> bool:
 
 
 def is_ideal(l: LieAlgebra, u: Subspace) -> bool:
-    for i in range(l.n):
-        e = l.basis_vector(i)
+    for e in l.full.rows:
         for a in u.rows:
             if not u.contains(bracket(l, e, a)):
                 return False
@@ -161,7 +161,7 @@ def is_ideal(l: LieAlgebra, u: Subspace) -> bool:
 
 def ad_matrix(l: LieAlgebra, x: Vector) -> Matrix:
     """Matrix of v -> [x, v] in the standard basis (rows = output coords)."""
-    cols = [bracket(l, x, l.basis_vector(j)) for j in range(l.n)]
+    cols = [bracket(l, x, e) for e in l.full.rows]
     rows = tuple(tuple(cols[j][k] for j in range(l.n)) for k in range(l.n))
     return Matrix(l.p, rows)
 

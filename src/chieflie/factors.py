@@ -35,9 +35,9 @@ from .algebra import (LieAlgebra, bracket, is_ideal, is_subalgebra,
 from .errors import VerificationError, require
 from .ideals import (all_ideals, centralizer_of_factor, core, is_chief_pair,
                      minimal_ideals_over)
-from .linalg import (BudgetExceeded, Matrix, Subspace, quotient_coords,
-                     rref_rows, solve_linear, subspace_intersect,
-                     subspace_leq, subspace_sum, unit)
+from .linalg import (BudgetExceeded, Matrix, Subspace, _hash_once,
+                     quotient_coords, rref_rows, solve_linear,
+                     subspace_intersect, subspace_leq, subspace_sum, unit)
 from .maximal import (MaximalRecord, PrimitiveKind, complements_of, is_maximal,
                       is_frattini_factor, maximal_subalgebras,
                       monolithic_supplements, primitive_type, record_for,
@@ -51,6 +51,7 @@ HOM_SCAN_CAP = 4096
 # -- the factor object ------------------------------------------------------
 
 
+@_hash_once
 @dataclass(frozen=True)
 class ChiefFactor:
     """A chief factor A/B with its classification and supplement lists."""
@@ -231,8 +232,7 @@ def _action_matrices(f: ChiefFactor):
     d = qc.dim
     lifts = tuple(qc.lift(unit(s, d)) for s in range(d))
     mats = []
-    for i in range(l.n):
-        e = l.basis_vector(i)
+    for e in l.full.rows:
         # [L, A] <= A for an ideal, so project accepts the bracket directly.
         cols = [qc.project(bracket(l, e, lifts[s])) for s in range(d)]
         mats.append(tuple(tuple(cols[s][r] for s in range(d))

@@ -13,8 +13,8 @@ from functools import lru_cache
 
 from .algebra import LieAlgebra, bracket, is_ideal, subspace_product
 from .field import prime_field
-from .linalg import (Subspace, quotient_coords, solve_linear, subspace_leq,
-                     subspace_sum)
+from .linalg import (Subspace, _hash_once, quotient_coords, solve_linear,
+                     subspace_leq, subspace_sum)
 
 
 def ideal_closure(l: LieAlgebra, seed: Subspace,
@@ -67,10 +67,8 @@ def core(l: LieAlgebra, u: Subspace) -> Subspace:
             return cur
         # x = sum t_a r_a with [e_i, x] in cur for all basis elements e_i
         rows = []
-        basis_brackets = [[bracket(l, l.basis_vector(i), r) for r in cur.rows]
-                          for i in range(l.n)]
-        for i in range(l.n):
-            residuals = [cur.reduce(w) for w in basis_brackets[i]]
+        for e in l.full.rows:
+            residuals = [cur.reduce(bracket(l, e, r)) for r in cur.rows]
             for coord in range(l.n):
                 row = tuple(residuals[a][coord] for a in range(cur.dim))
                 if any(row):
@@ -91,7 +89,7 @@ def centralizer_of_factor(l: LieAlgebra, a: Subspace, b: Subspace) -> Subspace:
         raise ValueError("centralizer_of_factor needs B <= A")
     rows = []
     for aj in a.rows:
-        residuals = [b.reduce(bracket(l, l.basis_vector(i), aj)) for i in range(l.n)]
+        residuals = [b.reduce(bracket(l, e, aj)) for e in l.full.rows]
         for coord in range(l.n):
             row = tuple(residuals[i][coord] for i in range(l.n))
             if any(row):
@@ -187,6 +185,7 @@ def all_ideals(l: LieAlgebra) -> tuple[Subspace, ...]:
 # ---------------------------------------------------------------------------
 
 
+@_hash_once
 @dataclass(frozen=True)
 class ChiefSeries:
     """A strictly ascending chain of ideals with chief quotients."""

@@ -48,32 +48,87 @@ def unit(i: int, n: int) -> Vector:
 
 
 def rref_rows(rows, p: int) -> Rows:
-    """Canonical reduced row echelon form; zero rows dropped."""
-    mat = [list(r) for r in rows if any(r)]
+    """Canonical reduced row echelon form; zero rows dropped.  Entries may
+    be any ints; the output entries lie in [0, p)."""
+    if p == 2:
+        return _rref_gf2(rows)
+    mat = []
+    for v in rows:
+        v = [x % p for x in v]
+        if any(v):
+            mat.append(v)
     if not mat:
         return ()
-    ncols = len(mat[0])
     inv = prime_field(p).inv_table
     r = 0
-    for c in range(ncols):
+    for c in range(len(mat[0])):
         pivot_row = None
         for i in range(r, len(mat)):
-            if mat[i][c] % p:
+            if mat[i][c]:
                 pivot_row = i
                 break
         if pivot_row is None:
             continue
         mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        head = inv[mat[r][c] % p]
-        row = mat[r] = [(head * x) % p for x in mat[r]]
+        row = mat[r]
+        if row[c] != 1:
+            head = inv[row[c]]
+            row = mat[r] = [(head * x) % p for x in row]
         for i in range(len(mat)):
-            if i != r and mat[i][c] % p:
-                f = mat[i][c] % p
+            f = mat[i][c]
+            if f and i != r:
                 mat[i] = [(x - f * y) % p for x, y in zip(mat[i], row)]
         r += 1
         if r == len(mat):
             break
-    return tuple(tuple(x % p for x in row) for row in mat[:r] if any(x % p for x in row))
+    # Rows past r are zero: every column was cleared below the pivots.
+    return tuple(tuple(row) for row in mat[:r])
+
+
+def _rref_gf2(rows) -> Rows:
+    """rref_rows over GF(2) on rows packed as ints, column 0 the top bit.
+
+    basis maps each pivot's bit position to its row, kept fully reduced: a
+    row has a zero at every other pivot bit, so one XOR per pivot reduces an
+    input row, and a new row is cleared out of the rows already kept."""
+    basis: dict[int, int] = {}
+    n = 0
+    for r in rows:
+        n = len(r)
+        mask = 0
+        for x in r:
+            mask = (mask << 1) | (x & 1)
+        for bit, row in basis.items():
+            if mask >> bit & 1:
+                mask ^= row
+        if not mask:
+            continue
+        top = mask.bit_length() - 1
+        for bit, row in basis.items():
+            if row >> top & 1:
+                basis[bit] = row ^ mask
+        basis[top] = mask
+    shifts = range(n - 1, -1, -1)
+    return tuple([tuple([basis[bit] >> s & 1 for s in shifts])
+                  for bit in sorted(basis, reverse=True)])
+
+
+def _hash_once(cls):
+    """Class decorator for the frozen dataclasses used as memo keys: keep
+    the value of the generated __hash__ (the hash of the compared-field
+    tuple) on the instance after its first use."""
+    fieldwise = cls.__hash__
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            h = fieldwise(self)
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    cls.__hash__ = __hash__
+    return cls
 
 
 def _pivots_of(rows: Rows) -> tuple[int, ...]:
@@ -86,6 +141,7 @@ def _pivots_of(rows: Rows) -> tuple[int, ...]:
     return tuple(out)
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Subspace:
     """A subspace of GF(p)^n in canonical (RREF) form.

@@ -3,8 +3,9 @@ algorithms on small inputs.
 
 Everything here enumerates subspaces or vectors outright and tests the
 defining property directly, sharing no logic with the production code paths
-beyond the bracket itself.  Budget limits of the subspace enumerator apply,
-so these are only usable for small n and p.
+beyond the bracket itself; oracle_rref_rows is the plain elimination that
+both kernels of rref_rows must match.  Budget limits of the subspace
+enumerator apply, so these are only usable for small n and p.
 """
 
 from __future__ import annotations
@@ -12,7 +13,38 @@ from __future__ import annotations
 from itertools import product
 
 from .algebra import LieAlgebra, bracket
-from .linalg import Subspace, enumerate_subspaces, subspace_leq
+from .field import prime_field
+from .linalg import Rows, Subspace, enumerate_subspaces, subspace_leq
+
+
+def oracle_rref_rows(rows, p: int) -> Rows:
+    """Generic tuple RREF for every p, re-reducing entries mod p at each
+    test; the reference the GF(2) and odd-p kernels of rref_rows match."""
+    mat = [list(r) for r in rows if any(r)]
+    if not mat:
+        return ()
+    ncols = len(mat[0])
+    inv = prime_field(p).inv_table
+    r = 0
+    for c in range(ncols):
+        pivot_row = None
+        for i in range(r, len(mat)):
+            if mat[i][c] % p:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
+        head = inv[mat[r][c] % p]
+        row = mat[r] = [(head * x) % p for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c] % p:
+                f = mat[i][c] % p
+                mat[i] = [(x - f * y) % p for x, y in zip(mat[i], row)]
+        r += 1
+        if r == len(mat):
+            break
+    return tuple(tuple(x % p for x in row) for row in mat[:r] if any(x % p for x in row))
 
 
 def _closed_under_bracket(l: LieAlgebra, u: Subspace, w: Subspace) -> bool:

@@ -1,6 +1,7 @@
 """Tests for chief factors, descent, crossings, and relatedness."""
 
 import itertools
+import pickle
 
 import pytest
 
@@ -16,7 +17,7 @@ from chieflie.factors import (ChiefFactor, MCrossing, chief_factor_catalog,
                               m_crossing_swap, m_related, make_crossing,
                               module_hom_space, supplement_join,
                               supplements_relaxed)
-from chieflie.ideals import all_ideals, is_chief_pair
+from chieflie.ideals import all_ideals, chief_series, is_chief_pair
 from chieflie.linalg import (Matrix, Subspace, rref_rows, subspace_intersect,
                              subspace_leq, subspace_sum)
 from chieflie.maximal import PrimitiveKind, record_for, supplements_of
@@ -96,8 +97,33 @@ def test_factor_identity_ignores_flags():
     z = span(l, (0, 0, 1))
     f = get_factor(l, z, span(l))
     assert f == ChiefFactor(l, z, span(l), False, False, False, False, (), ())
-    assert hash(f) == hash((l, z, span(l))) or True  # hashable
+    assert hash(f) == hash((l, z, span(l)))
     assert len({f, get_factor(l, z, span(l))}) == 1
+
+
+def test_memo_key_hashes_are_the_dataclass_hashes():
+    """LieAlgebra, Subspace, ChiefFactor and ChiefSeries keep their hash, and
+    it is the hash of the compared-field tuple; equal values built apart,
+    and pickle round trips, hash equal."""
+    def build():
+        l = r4(2)
+        a, b = l.full, Subspace.span(4, 2, [(0, 1, 0, 0), (0, 0, 1, 0),
+                                            (0, 0, 0, 1)])
+        get_factor.cache_clear()
+        return l, a, get_factor(l, a, b), chief_series(l)
+
+    first, second = build(), build()
+    l, a, f, s = first
+    assert first == second and first[2] is not second[2]
+    fields = [(l, (l.n, l.p, l.sc)), (a, (a.n, a.p, a.rows)),
+              (f, (f.algebra, f.a, f.b)), (s, (s.algebra, s.terms))]
+    for value, compared in fields:
+        assert hash(value) == hash(compared)    # computed or kept
+        assert hash(value) == hash(compared)    # kept
+    for x, y in zip(first, second):
+        assert hash(x) == hash(y)
+        copy = pickle.loads(pickle.dumps(x))
+        assert copy == x and hash(copy) == hash(x)
 
 
 def test_catalog_sizes():

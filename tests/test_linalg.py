@@ -9,6 +9,7 @@ from chieflie.linalg import (BudgetExceeded, Matrix, Subspace, count_subspaces,
                              nonzero_directions, quotient_coords, rref_rows,
                              solve_linear, subspace_intersect, subspace_leq,
                              subspace_sum, vec_add, vec_scale)
+from chieflie.oracle import oracle_rref_rows
 
 
 def _brute_members(s: Subspace) -> set:
@@ -51,6 +52,21 @@ def test_rref_idempotent_and_mix_invariant():
                 else:
                     mixed[i] = vec_scale(c, mixed[i], p)
             assert rref_rows(mixed, p) == base
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_rref_kernels_match_generic_oracle(data):
+    p = data.draw(st.sampled_from((2, 3, 5, 7)))
+    n = data.draw(st.integers(1, 10))
+    entry = st.integers(-p, 2 * p - 1)
+    row = st.one_of(st.just((0,) * n), st.tuples(*[entry] * n))
+    rows = data.draw(st.lists(row, max_size=12))
+    # Repeat some rows, so that duplicates are among the inputs too.
+    rows += data.draw(st.lists(st.sampled_from(rows), max_size=3)) if rows else []
+    out = rref_rows(rows, p)
+    assert out == oracle_rref_rows(rows, p)
+    assert all(type(x) is int and 0 <= x < p for r in out for x in r)
 
 
 def test_subspace_structural_equality_and_hash():
