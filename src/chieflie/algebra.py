@@ -159,11 +159,17 @@ def is_ideal(l: LieAlgebra, u: Subspace) -> bool:
     return True
 
 
-def ad_matrix(l: LieAlgebra, x: Vector) -> Matrix:
-    """Matrix of v -> [x, v] in the standard basis (rows = output coords)."""
-    cols = [bracket(l, x, e) for e in l.full.rows]
-    rows = tuple(tuple(cols[j][k] for j in range(l.n)) for k in range(l.n))
-    return Matrix(l.p, rows)
+def ad_matrix(l: LieAlgebra, x: Vector,
+              qc: QuotientCoords | None = None) -> Matrix:
+    """Matrix of v -> [x, v] in the standard basis (rows = output coords),
+    or of the map it induces on qc.space/qc.sub, in qc's coordinates, when
+    ad x maps qc.space into itself (unchecked: project then raises)."""
+    if qc is None:
+        cols = [bracket(l, x, e) for e in l.full.rows]
+    else:
+        cols = [qc.project(bracket(l, x, qc.lift(unit(j, qc.dim))))
+                for j in range(qc.dim)]
+    return Matrix(l.p, tuple(zip(*cols)))
 
 
 def preserves_brackets(theta: Matrix, src, dst) -> bool:

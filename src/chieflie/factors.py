@@ -30,14 +30,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache, partial
 
-from .algebra import (LieAlgebra, bracket, is_ideal, is_subalgebra,
-                      preserves_brackets, quotient_algebra, subspace_product)
+from .algebra import (LieAlgebra, ad_matrix, bracket, is_ideal,
+                      is_subalgebra, preserves_brackets, quotient_algebra,
+                      subspace_product)
 from .errors import VerificationError, require
 from .ideals import (all_ideals, centralizer_of_factor, core, is_chief_pair,
                      minimal_ideals_over)
 from .linalg import (BudgetExceeded, Matrix, Subspace, _hash_once,
                      quotient_coords, rref_rows, solve_linear,
-                     subspace_intersect, subspace_leq, subspace_sum, unit)
+                     subspace_intersect, subspace_leq, subspace_sum)
 from .maximal import (MaximalRecord, PrimitiveKind, complements_of, is_maximal,
                       is_frattini_factor, maximal_subalgebras,
                       monolithic_supplements, primitive_type, record_for,
@@ -229,15 +230,7 @@ def _action_matrices(f: ChiefFactor):
     """For each ambient basis element, the matrix of its action on A/B."""
     l = f.algebra
     qc = quotient_coords(f.a, f.b)
-    d = qc.dim
-    lifts = tuple(qc.lift(unit(s, d)) for s in range(d))
-    mats = []
-    for e in l.full.rows:
-        # [L, A] <= A for an ideal, so project accepts the bracket directly.
-        cols = [qc.project(bracket(l, e, lifts[s])) for s in range(d)]
-        mats.append(tuple(tuple(cols[s][r] for s in range(d))
-                          for r in range(d)))
-    return qc, mats
+    return qc, [ad_matrix(l, e, qc).rows for e in l.full.rows]
 
 
 @lru_cache(maxsize=None)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field as dc_field
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from .field import prime_field
 
@@ -382,17 +382,26 @@ class QuotientCoords:
             coeffs[pos] = c
         return self.space.combine(coeffs)
 
-    def line_lifts(self):
-        """Yield one lifted vector v per line of space/sub; every X with
-        sub < X <= space contains sub + <v> for one of them.  Refuses
-        (BudgetExceeded) when there are more than ENUM_COUNT_CAP lines."""
+    def line_count(self, spaces=None) -> int:
+        """Lines of space/sub, or of the union of spaces (see line_lifts)."""
+        dims = [self.dim] if spaces is None else [s.dim for s in spaces]
+        return sum((self.sub.p ** d - 1) // (self.sub.p - 1) for d in dims)
+
+    def line_lifts(self, spaces=None):
+        """Yield one lifted vector v per line of space/sub, or of the union
+        of spaces (subspaces of GF(p)^k meeting pairwise in 0); every X with
+        sub < X <= space, and X/sub meeting one of spaces if given, contains
+        sub + <v> for one of them.  Refuses (BudgetExceeded) above
+        ENUM_COUNT_CAP lines."""
         k, p = self.dim, self.sub.p
-        count = (p ** k - 1) // (p - 1)
+        count = self.line_count(spaces)
         if count > ENUM_COUNT_CAP:
             raise BudgetExceeded(
                 f"direction scan of a {k}-dimensional quotient over GF({p}) "
                 f"exceeds cap {ENUM_COUNT_CAP}", count)
-        for d in nonzero_directions(k, p):
+        dirs = nonzero_directions(k, p) if spaces is None else (
+            s.combine(d) for s in spaces for d in nonzero_directions(s.dim, p))
+        for d in dirs:
             yield self.lift(d)
 
 
@@ -443,6 +452,30 @@ class Matrix:
 
     def column(self, j: int) -> Vector:
         return tuple(row[j] for row in self.rows)
+
+    def __matmul__(self, other: "Matrix") -> "Matrix":
+        p, cols = self.p, tuple(zip(*other.rows))
+        return Matrix(p, tuple(tuple(sum(x * y for x, y in zip(row, col)) % p
+                                     for col in cols) for row in self.rows))
+
+    def __pow__(self, e: int) -> "Matrix":
+        return reduce(Matrix.__matmul__, [self] * e)
+
+    def fitting_cover(self) -> tuple[Subspace, ...]:
+        """For square M on GF(p)^k: each nonzero ker(M - c), c in GF(p), and
+        im(S^k) for S = M^p - M, if nonzero.  Any two meet only in 0, and
+        each nonzero M-invariant W meets one: by Fitting's lemma W lies in
+        im(S^k) or meets ker(S^k), where S = prod_c (M - c) is nilpotent, so
+        some w != 0 in W has S w = 0 and a nonzero partial product
+        (M - c_1)...(M - c_j) w in W lies in ker(M - c_{j+1})."""
+        p, k, rows = self.p, self.ncols, self.rows
+        out = [solve_linear([[(x - c * (i == j)) % p for j, x in enumerate(r)]
+                             for i, r in enumerate(rows)], (0,) * k, p)[1]
+               for c in range(p)]
+        s = Matrix(p, tuple(tuple((x - y) % p for x, y in zip(r, q))
+                            for r, q in zip((self ** p).rows, rows)))
+        out.append(Subspace(k, p, tuple(zip(*(s ** k).rows))))
+        return tuple(u for u in out if u.dim)
 
 
 @lru_cache(maxsize=None)

@@ -143,22 +143,11 @@ def _complement_subalgebras(l: LieAlgebra, a: Subspace) -> list[Subspace]:
 # -- algebra isomorphisms ---------------------------------------------------
 
 
-def _mat_mul(ra, rb, p):
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) % p
-                       for col in zip(*rb)) for row in ra)
-
-
 def _ad_fingerprint(l: LieAlgebra, v) -> tuple:
     """Conjugation-invariant data of ad(v): rank and trace of its powers."""
-    m = ad_matrix(l, v).rows
-    out = []
-    acc = m
-    for _ in range(l.n):
-        rank = len(rref_rows(acc, l.p))
-        trace = sum(acc[i][i] for i in range(l.n)) % l.p
-        out.append((rank, trace))
-        acc = _mat_mul(acc, m, l.p)
-    return tuple(out)
+    powers = itertools.accumulate([ad_matrix(l, v)] * l.n, Matrix.__matmul__)
+    return tuple((len(rref_rows(m.rows, l.p)),
+                  sum(m.rows[i][i] for i in range(l.n)) % l.p) for m in powers)
 
 
 def _generating_tuple(l: LieAlgebra):
@@ -175,55 +164,44 @@ def _generating_tuple(l: LieAlgebra):
 
 def _express(vec, basis, p):
     """Coefficients writing vec in the (independent) basis list, or None."""
-    if not basis:
-        return None if any(x % p for x in vec) else ()
     a_rows = tuple(tuple(b[t] for b in basis) for t in range(len(vec)))
     part, _ = solve_linear(a_rows, tuple(x % p for x in vec), p)
     return part
 
 
-def _extend_iso(a: LieAlgebra, b: LieAlgebra, gens, imgs):
-    """Grow a bracket-closed basis from generator images; None on conflict."""
-    p = a.p
-    bas: list[tuple] = []
+def _iso_plan(a: LieAlgebra, gens):
+    """(steps, units) growing a bracket-closed basis of A, the words, from
+    gens.  Step (i, None, c) takes generator i, (i, j, c) brackets words i
+    and j; c is None for a new word, else its coordinates in the words so
+    far, a relation every image must satisfy.  Column t of units writes
+    unit vector t of A in the words."""
+    words, steps = [], []
+    queue = [(i, None, tuple(g)) for i, g in enumerate(gens)]
+    while queue:
+        i, j, w = queue.pop(0)
+        c = _express(w, words, a.p)
+        steps.append((i, j, c))
+        if c is None:
+            queue += [(t, len(words), bracket(a, u, w))
+                      for t, u in enumerate(words)]
+            words.append(w)
+    units = Matrix(a.p, tuple(zip(*(_express(unit(t, a.n), words, a.p)
+                                    for t in range(a.n)))))
+    return steps, units
+
+
+def _apply_plan(b: LieAlgebra, plan, imgs) -> Matrix | None:
+    """The linear map sending gens to imgs and brackets of words to the
+    brackets of their images; None when a relation of the plan fails."""
+    steps, units = plan
     img: list[tuple] = []
-    for g, h in zip(gens, imgs):
-        c = _express(g, bas, p)
+    for i, j, c in steps:
+        v = tuple(imgs[i]) if j is None else bracket(b, img[i], img[j])
         if c is None:
-            bas.append(tuple(g))
-            img.append(tuple(h))
-        elif Matrix(p, tuple(zip(*img))).apply(c) != tuple(x % p for x in h):
+            img.append(v)
+        elif Matrix(b.p, tuple(zip(*img))).apply(c) != v:
             return None
-    processed = set()
-    while True:
-        pending = [(i, j) for i in range(len(bas)) for j in range(i + 1, len(bas))
-                   if (i, j) not in processed]
-        if not pending:
-            break
-        for i, j in pending:
-            processed.add((i, j))
-            w = bracket(a, bas[i], bas[j])
-            wh = bracket(b, img[i], img[j])
-            c = _express(w, bas, p)
-            if c is None:
-                if any(w):
-                    bas.append(w)
-                    img.append(wh)
-                elif any(wh):
-                    return None
-            elif Matrix(p, tuple(zip(*img))).apply(c) != wh:
-                return None
-    if len(bas) < a.n:
-        return None
-    image = Matrix(p, tuple(zip(*img)))
-    cols = []
-    for t in range(a.n):
-        c = _express(unit(t, a.n), bas, p)
-        if c is None:
-            return None
-        cols.append(image.apply(c))
-    rows = tuple(tuple(cols[t][i] for t in range(a.n)) for i in range(b.n))
-    return Matrix.from_rows(rows, p)
+    return Matrix(b.p, tuple(zip(*img))) @ units
 
 
 @lru_cache(maxsize=None)
@@ -251,9 +229,10 @@ def algebra_isomorphisms(a: LieAlgebra, b: LieAlgebra) -> tuple[Matrix, ...]:
         if not any(v):
             continue
         buckets.setdefault(_ad_fingerprint(b, v), []).append(v)
+    plan = _iso_plan(a, gens)
     found = []
     for imgs in itertools.product(*(buckets.get(fp, []) for fp in fps)):
-        theta = _extend_iso(a, b, gens, imgs)
+        theta = _apply_plan(b, plan, imgs)
         if theta is None:
             continue
         if len(rref_rows(theta.rows, p)) < n:

@@ -1,11 +1,13 @@
 """Ideal machinery versus the brute-force oracle, plus frozen known values."""
 
 import time
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chieflie.algebra import direct_sum, is_ideal
+from chieflie import ideals as ideals_module
+from chieflie.algebra import direct_sum, extend_by_derivation, is_ideal
 from chieflie.corpus import (abelian, h3_plus_line, heisenberg, nonabelian2,
                              r4, random_solvable, registry, sl2, sl2sum)
 from chieflie.ideals import (ChiefSeries, all_ideals, centralizer,
@@ -14,7 +16,8 @@ from chieflie.ideals import (ChiefSeries, all_ideals, centralizer,
                              ideal_closure, is_chief_pair, is_solvable,
                              make_chief_series, minimal_ideals,
                              minimal_ideals_over, socle, subalgebra_closure)
-from chieflie.linalg import (BudgetExceeded, Subspace, enumerate_subspaces,
+from chieflie.linalg import (ENUM_COUNT_CAP, BudgetExceeded, Matrix, Subspace,
+                             enumerate_subspaces, quotient_coords,
                              subspace_leq)
 from chieflie.oracle import (oracle_centralizer, oracle_chief_series_count,
                              oracle_core, oracle_ideal_closure, oracle_ideals,
@@ -204,14 +207,90 @@ def test_chief_series_reuses_minimal_ideal_searches():
 
 
 def test_minimal_ideals_direction_scan_budget_refusal():
-    # sl2 + sl2 + sl2 over GF(5): (5^9 - 1)/4 = 488,281 directions
-    l = direct_sum(sl2(5), direct_sum(sl2(5), sl2(5)))
+    # abelian(9, 5): ad x = 0 for every x, so no line can be left out of
+    # the (5^9 - 1)/4 = 488,281 directions
+    l = abelian(9, 5)
     start = time.perf_counter()
     with pytest.raises(BudgetExceeded) as err:
         minimal_ideals(l)
     assert time.perf_counter() - start < 1.0
     assert err.value.count == 488_281
     assert "9-dimensional quotient over GF(5)" in str(err.value)
+
+
+def test_minimal_ideals_of_sl2_cubed():
+    # 488,281 lines in all; the ad x scan spins a few hundred of them
+    l = direct_sum(sl2(5), direct_sum(sl2(5), sl2(5)))
+    mins = minimal_ideals(l)
+    assert [m.dim for m in mins] == [3, 3, 3]
+    assert socle(l) == l.full
+
+
+def _scan_body(cutoff, fn, *args):
+    """fn's uncached body with the direction-scan cutoff set to cutoff."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ideals_module, "RESTRICT_ABOVE_LINES", cutoff)
+        return fn.__wrapped__(*args)
+
+
+@lru_cache(maxsize=None)
+def _full_scan(fn, *args):
+    return _scan_body(ENUM_COUNT_CAP, fn, *args)
+
+
+def _restricted_scan(fn, *args):
+    return _scan_body(0, fn, *args)
+
+
+def _assert_restricted_scan_agrees(l):
+    """With the cutoff at 0 every scan over an ideal top spins only the
+    lines of the Fitting cover of ad x, each once.  minimal_ideals_over, on
+    every ideal base and with an ideal and a (usually) non-ideal within,
+    and is_chief_pair must still give the full scan's answers."""
+    ideals = all_ideals(l)
+    for b in ideals:
+        assert _restricted_scan(minimal_ideals_over, l, b) == \
+            _full_scan(minimal_ideals_over, l, b)
+        for a in ideals:
+            if subspace_leq(b, a):
+                assert _restricted_scan(is_chief_pair, l, a, b) == \
+                    _full_scan(is_chief_pair, l, a, b)
+        qc = quotient_coords(l.full, b)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ideals_module, "RESTRICT_ABOVE_LINES", 0)
+            lines = [Subspace(l.n, l.p, (qc.project(v),)) for v in
+                     ideals_module._direction_lifts(l, l.full, b)]
+        assert len(set(lines)) == len(lines)
+    hyperplane = Subspace(l.n, l.p, l.full.rows[:-1])
+    for within in ideals[-2:-1] + (hyperplane,):
+        assert _restricted_scan(minimal_ideals_over, l, l.zero_space,
+                                within) == \
+            _full_scan(minimal_ideals_over, l, l.zero_space, within)
+
+
+@settings(max_examples=25, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_restricted_direction_scan_matches_full_scan_property(data):
+    p = data.draw(st.sampled_from((2, 3, 5)))
+    n = data.draw(st.integers(2, {2: 6, 3: 5, 5: 4}[p]))
+    _assert_restricted_scan_agrees(
+        random_solvable(n, p, data.draw(st.integers(0, 10_000))))
+
+
+SCAN_INPUTS = {e.name: e.algebra for e in registry()} | {
+    f"sl2(5)+{name}": direct_sum(sl2(5), m) for name, m in (
+        ("abelian(1,5)", abelian(1, 5)), ("nonabelian2(5)", nonabelian2(5)),
+        ("random_solvable(3,5,0)", random_solvable(3, 5, 0)))} | {
+    "sl2(7)+heisenberg(7)": direct_sum(sl2(7), heisenberg(7)),
+    # t acts on GF(2)^2 as a generator of GF(4), with no eigenvalue in GF(2):
+    # for x = t the minimal ideal GF(2)^2 meets only im((T^2 - T)^3)
+    "gf4_action(2)": extend_by_derivation(
+        abelian(2, 2), Matrix.from_rows([[0, 1], [1, 1]], 2))}
+
+
+@pytest.mark.parametrize("name", SCAN_INPUTS)
+def test_restricted_direction_scan_matches_full_scan(name):
+    _assert_restricted_scan_agrees(SCAN_INPUTS[name])
 
 
 def test_socle_known_values():

@@ -381,27 +381,28 @@ def rows_set_m(mats):
     return {m.rows for m in mats}
 
 
-def test_sl2_automorphisms_match_generator_pair_scan():
+@pytest.mark.parametrize("p", [5, 7])
+def test_sl2_automorphisms_match_generator_pair_scan(p):
     # Independent search: pick images for the two standard generators among
     # all vector pairs; the third basis vector is forced as their bracket.
-    l = sl2(5)
+    l = sl2(p)
     e, h, f = (1, 0, 0), (0, 1, 0), (0, 0, 1)
     found = set()
-    vecs = [v for v in itertools.product(range(5), repeat=3) if any(v)]
+    vecs = [v for v in itertools.product(range(p), repeat=3) if any(v)]
     for ve in vecs:
         for vf in vecs:
             vh = bracket(l, ve, vf)
             cols = (ve, vh, vf)
             rows = tuple(tuple(cols[j][i] for j in range(3)) for i in range(3))
-            if len(rref_rows(rows, 5)) < 3:
+            if len(rref_rows(rows, p)) < 3:
                 continue
-            th = Matrix.from_rows(rows, 5)
+            th = Matrix.from_rows(rows, p)
             if all(th.apply(bracket(l, x, y)) == bracket(l, th.apply(x), th.apply(y))
                    for x, y in [(e, h), (e, f), (h, f)]):
                 found.add(rows)
     got = rows_set_m(algebra_isomorphisms(l, l))
     assert got == found
-    assert len(got) == 120
+    assert len(got) == p * (p * p - 1)  # |PGL2(p)|
 
 
 def test_isomorphisms_between_distinct_copies():
