@@ -79,9 +79,6 @@ class LieAlgebra:
     def basis_vector(self, i: int) -> Vector:
         return unit(i, self.n)
 
-    def label(self, i: int) -> str:
-        return self.labels[i] if self.labels else f"x{i + 1}"
-
     def __repr__(self):
         return f"LieAlgebra(dim={self.n}, GF({self.p}))"
 
@@ -258,7 +255,6 @@ class SubalgebraPresentation:
         return Subspace(self.parent.n, self.parent.p, rows)
 
 
-@lru_cache(maxsize=None)
 def restrict_algebra(l: LieAlgebra, u: Subspace) -> SubalgebraPresentation:
     if not is_subalgebra(l, u):
         raise ValueError("restriction to a non-subalgebra subspace")

@@ -30,12 +30,13 @@ from .corpus import builtin, random_solvable, registry
 from .errors import VerificationError
 from .factors import get_factor
 from .fileio import AlgebraFileError, format_algebra, load_algebra
-from .ideals import (chief_series, core, derived_series,
+from .ideals import (chief_series, derived_series,
                      enumerate_chief_series, is_solvable, make_chief_series,
                      minimal_ideals, socle)
 from .jordanholder import jh_permutation
 from .linalg import BudgetExceeded, Subspace
-from .maximal import frattini, maximal_subalgebras, primitive_type
+from .maximal import (frattini, maximal_records, maximal_subalgebras,
+                      primitive_type)
 from .oracle import (oracle_core, oracle_frattini, oracle_maximal_subalgebras,
                      oracle_minimal_ideals_over)
 
@@ -187,8 +188,8 @@ def _oracle_crosscheck(l: LieAlgebra, cap: int) -> None:
     if frattini(l) != oracle_frattini(l, cap=cap):
         raise VerificationError(
             "Frattini subalgebra disagrees with brute force")
-    for m in maximal_subalgebras(l):
-        if core(l, m) != oracle_core(l, m, cap=cap):
+    for rec in maximal_records(l):
+        if rec.core != oracle_core(l, rec.subalgebra, cap=cap):
             raise VerificationError("a core disagrees with brute force")
 
 
@@ -198,7 +199,7 @@ def cmd_analyze(args) -> int:
         _oracle_crosscheck(l, args.cap)
     minimals = minimal_ideals(l)
     soc = socle(l)
-    maxes = maximal_subalgebras(l)
+    records = maximal_records(l)
     phi = frattini(l)
     prim = primitive_type(l)
     series = chief_series(l)
@@ -212,8 +213,8 @@ def cmd_analyze(args) -> int:
             "minimal_ideals": [[list(r) for r in m.rows] for m in minimals],
             "socle_dim": soc.dim,
             "maximal_subalgebras": [
-                {"rows": [list(r) for r in m.rows],
-                 "core_dim": core(l, m).dim} for m in maxes],
+                {"rows": [list(r) for r in rec.subalgebra.rows],
+                 "core_dim": rec.core.dim} for rec in records],
             "frattini": [list(r) for r in phi.rows],
             "primitive_type": int(prim.kind),
             "chief_series": [[list(r) for r in t.rows] for t in series.terms],
@@ -232,9 +233,9 @@ def cmd_analyze(args) -> int:
     print(f"minimal ideals: {len(minimals)} "
           f"(dims {' '.join(str(m.dim) for m in minimals)})")
     print(f"socle: dim {soc.dim}")
-    print(f"maximal subalgebras: {len(maxes)}")
-    for m in maxes:
-        print(f"  dim {m.dim}, core dim {core(l, m).dim}")
+    print(f"maximal subalgebras: {len(records)}")
+    for rec in records:
+        print(f"  dim {rec.subalgebra.dim}, core dim {rec.core.dim}")
     print(f"frattini: dim {phi.dim}" +
           (f", basis {_rows_text(phi)}" if phi.dim else ""))
     kind = int(prim.kind)
@@ -429,10 +430,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built on the first call to main; parsing leaves the parser unchanged.
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
         return args.func(args)
     except (CliInputError, AlgebraFileError) as e:
         print(f"error: {e}", file=sys.stderr)

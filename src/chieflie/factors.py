@@ -34,13 +34,13 @@ from .algebra import (LieAlgebra, ad_matrix, bracket, is_ideal,
                       is_subalgebra, preserves_brackets, quotient_algebra,
                       subspace_product)
 from .errors import VerificationError, require
-from .ideals import (all_ideals, centralizer_of_factor, core, is_chief_pair,
+from .ideals import (all_ideals, centralizer_of_factor, is_chief_pair,
                      minimal_ideals_over)
 from .linalg import (BudgetExceeded, Matrix, Subspace, _hash_once,
                      quotient_coords, rref_rows, solve_linear,
                      subspace_intersect, subspace_leq, subspace_sum)
-from .maximal import (MaximalRecord, PrimitiveKind, complements_of, is_maximal,
-                      is_frattini_factor, maximal_subalgebras,
+from .maximal import (MaximalRecord, PrimitiveKind, complements_among,
+                      is_maximal, is_frattini_factor, maximal_subalgebras,
                       monolithic_supplements, primitive_type, record_for,
                       supplements_of)
 
@@ -90,16 +90,18 @@ def get_factor(l: LieAlgebra, a: Subspace, b: Subspace) -> ChiefFactor:
     """
     if not subspace_leq(b, a) or b.dim >= a.dim:
         raise ValueError("a chief factor needs ideals b < a")
-    if not is_ideal(l, a) or not is_ideal(l, b):
-        raise ValueError("chief factor endpoints must be ideals")
+    # is_chief_pair tests both ends for being ideals; is_ideal runs only to
+    # pick the message.
     if not is_chief_pair(l, a, b):
+        if not is_ideal(l, a) or not is_ideal(l, b):
+            raise ValueError("chief factor endpoints must be ideals")
         between = minimal_ideals_over(l, b, within=a)[0]
         raise ValueError(
             f"not a chief factor: a {between.dim}-dimensional ideal sits "
             f"strictly between the endpoints")
     abelian = subspace_leq(subspace_product(l, a, a), b)
     supps = supplements_of(l, a, b)
-    comps = complements_of(l, a, b)
+    comps = complements_among(a, b, supps)
     frat = is_frattini_factor(l, a, b)
     if frat == bool(supps):
         raise VerificationError(
@@ -233,7 +235,6 @@ def _action_matrices(f: ChiefFactor):
     return qc, [ad_matrix(l, e, qc).rows for e in l.full.rows]
 
 
-@lru_cache(maxsize=None)
 def module_hom_space(f: ChiefFactor, g: ChiefFactor) -> Subspace:
     """The space of module homomorphisms A/B -> C/D as flattened matrices."""
     if f.algebra != g.algebra:
@@ -555,10 +556,10 @@ def supplement_join(u: MaximalRecord, s: MaximalRecord,
     inter = subspace_intersect(u.subalgebra, s.subalgebra)
     m = subspace_sum(f.a, inter)
     require(is_maximal(l, m), "join of two supplements is not maximal")
-    core_m = core(l, m)
+    rec = record_for(l, m)
+    core_m = rec.core
     require(core_m == subspace_sum(f.a, subspace_intersect(u.core, s.core)),
             "join core is not A plus the intersection of the cores")
-    rec = record_for(l, m)
 
     if f.abelian:
         require(rec.quotient_kind is PrimitiveKind.ONE_ABELIAN_MINIMAL,

@@ -89,7 +89,6 @@ def core(l: LieAlgebra, u: Subspace) -> Subspace:
         cur = nxt
 
 
-@lru_cache(maxsize=None)
 def centralizer_of_factor(l: LieAlgebra, a: Subspace, b: Subspace) -> Subspace:
     """C_L(A/B) = {x : [x, A] <= B}; an ideal whenever A, B are ideals."""
     if not subspace_leq(b, a):
@@ -137,7 +136,6 @@ def minimal_ideals(l: LieAlgebra) -> tuple[Subspace, ...]:
     return minimal_ideals_over(l, l.zero_space)
 
 
-@lru_cache(maxsize=None)
 def socle(l: LieAlgebra) -> Subspace:
     acc = l.zero_space
     for m in minimal_ideals(l):
@@ -186,7 +184,6 @@ def _direction_lifts(l: LieAlgebra, top: Subspace, b: Subspace):
     return qc.line_lifts(min(covers, key=qc.line_count))
 
 
-@lru_cache(maxsize=None)
 def all_ideals(l: LieAlgebra) -> tuple[Subspace, ...]:
     """Every ideal, by breadth-first growth through minimal overideals."""
     seen = {l.zero_space}

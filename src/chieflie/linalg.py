@@ -267,30 +267,26 @@ def solve_linear(a_rows, b: Vector, p: int):
     if len(b) != m:
         raise ValueError(f"rhs length {len(b)} does not match {m} equations")
     aug = rref_rows(tuple(r + (bv % p,) for r, bv in zip(a_rows, b)), p)
-    particular: list[int] | None = [0] * n
-    pivots = []
-    for row in aug:
-        piv = next(j for j, x in enumerate(row) if x)
-        if piv == n:
-            particular = None
-            break
-        pivots.append(piv)
-        if particular is not None:
-            particular[piv] = row[n]
-    # Kernel from the homogeneous RREF: one basis vector per free column.
-    hom = rref_rows(a_rows, p)
-    hom_pivots = _pivots_of(hom)
-    free_cols = [j for j in range(n) if j not in hom_pivots]
+    pivots = _pivots_of(aug)
+    # A row pivoting on column n (the last row, if any) reads 0 = 1; the
+    # rows before it are the RREF of A, so they also give the kernel.
+    consistent = not pivots or pivots[-1] < n
+    if not consistent:
+        aug, pivots = aug[:-1], pivots[:-1]
     kernel_rows = []
-    for fc in free_cols:
+    for fc in (j for j in range(n) if j not in pivots):
         vec = [0] * n
         vec[fc] = 1
-        for row, piv in zip(hom, hom_pivots):
+        for row, piv in zip(aug, pivots):
             vec[piv] = (-row[fc]) % p
         kernel_rows.append(tuple(vec))
     kernel = Subspace(n, p, kernel_rows)
-    part = tuple(particular) if particular is not None else None
-    return part, kernel
+    if not consistent:
+        return None, kernel
+    particular = [0] * n
+    for row, piv in zip(aug, pivots):
+        particular[piv] = row[n]
+    return tuple(particular), kernel
 
 
 # -- counting and enumeration ---------------------------------------------

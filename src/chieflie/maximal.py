@@ -51,10 +51,6 @@ COMPLEMENT_FAMILY_CAP = 20_000
 ISO_VECTOR_CAP = 20_000
 
 
-def _is_abelian(l: LieAlgebra) -> bool:
-    return subspace_product(l, l.full, l.full).dim == 0
-
-
 def _abelian_part(l: LieAlgebra, u: Subspace) -> bool:
     return subspace_product(l, u, u).dim == 0
 
@@ -214,10 +210,9 @@ def algebra_isomorphisms(a: LieAlgebra, b: LieAlgebra) -> tuple[Matrix, ...]:
     if a.p != b.p or a.n != b.n:
         return ()
     p, n = a.p, a.n
-    if _is_abelian(a) or _is_abelian(b):
-        if _is_abelian(a) and _is_abelian(b):
-            return (Matrix.identity(n, p),)
-        return ()
+    abelian = (_abelian_part(a, a.full), _abelian_part(b, b.full))
+    if any(abelian):
+        return (Matrix.identity(n, p),) if all(abelian) else ()
     if n == 0:
         return (Matrix.from_rows((), p),)
     if p ** n > ISO_VECTOR_CAP:
@@ -266,7 +261,7 @@ def maximal_subalgebras(l: LieAlgebra) -> tuple[Subspace, ...]:
     """All maximal subalgebras, canonically ordered."""
     if l.n == 0:
         return ()
-    if _is_abelian(l):
+    if _abelian_part(l, l.full):
         return tuple(sorted(_hyperplanes(l.n, l.p), key=lambda s: s.key()))
     found: set[Subspace] = set()
     mins = minimal_ideals(l)
@@ -323,7 +318,6 @@ def is_frattini_factor(l: LieAlgebra, a: Subspace, b: Subspace) -> bool:
 # -- supplements and complements by maximal subalgebras ---------------------
 
 
-@lru_cache(maxsize=None)
 def supplements_of(l: LieAlgebra, a: Subspace, b: Subspace) -> tuple[Subspace, ...]:
     """Maximal subalgebras M with L = A + M and B <= M."""
     if not subspace_leq(b, a):
@@ -333,11 +327,15 @@ def supplements_of(l: LieAlgebra, a: Subspace, b: Subspace) -> tuple[Subspace, .
                  if subspace_sum(a, m) == full and subspace_leq(b, m))
 
 
-@lru_cache(maxsize=None)
 def complements_of(l: LieAlgebra, a: Subspace, b: Subspace) -> tuple[Subspace, ...]:
     """Maximal subalgebras M with L = A + M and A n M = B."""
-    return tuple(m for m in supplements_of(l, a, b)
-                 if subspace_intersect(a, m) == b)
+    return complements_among(a, b, supplements_of(l, a, b))
+
+
+def complements_among(a: Subspace, b: Subspace,
+                      supplements) -> tuple[Subspace, ...]:
+    """The supplements M of A/B that are complements: A n M = B."""
+    return tuple(m for m in supplements if subspace_intersect(a, m) == b)
 
 
 # -- primitivity ------------------------------------------------------------
@@ -367,7 +365,6 @@ class PrimitivityReport:
                 f"witness={'none' if self.witness is None else self.witness.dim})")
 
 
-@lru_cache(maxsize=None)
 def primitive_type(l: LieAlgebra) -> PrimitivityReport:
     """Classify L as non-primitive or primitive of kind 1, 2 or 3.
 
@@ -377,7 +374,7 @@ def primitive_type(l: LieAlgebra) -> PrimitivityReport:
     primitive, core_evidence lists every (maximal subalgebra, core) pair, all
     cores nonzero.
     """
-    pairs = tuple((m, core(l, m)) for m in maximal_subalgebras(l))
+    pairs = tuple((r.subalgebra, r.core) for r in maximal_records(l))
     corefree = [m for m, c in pairs if c.dim == 0]
     mins = minimal_ideals(l)
     if not corefree:

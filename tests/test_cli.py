@@ -1,9 +1,14 @@
 """Tests for the text file format and the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import chieflie
 from chieflie.algebra import LieAlgebra
 from chieflie.cli import main
 from chieflie.corpus import heisenberg, random_solvable, registry
@@ -295,3 +300,23 @@ def test_cli_bad_usage_is_input_error(capsys):
     code, _, err = run(capsys, "analyze", "corpus:heisenberg",
                        "--format", "yaml")
     assert code == 1
+
+
+def test_cli_input_error_leaves_next_command_unchanged(capsys):
+    """main keeps one parser for the process: a command that fails inside
+    parsing, then one that fails in the command, must leave the next
+    command's output byte-identical to a fresh interpreter's."""
+    argv = ["analyze", "corpus:heisenberg", "--field", "3"]
+    code, _, err = run(capsys, *argv, "--format", "xml")
+    assert code == 1 and "invalid choice" in err
+    code, _, err = run(capsys, "analyze", "corpus:random", "--field", "2")
+    assert code == 1 and "needs --dim" in err
+    code, out, err = run(capsys, *argv)
+    src = str(Path(chieflie.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [x for x in [os.environ.get("PYTHONPATH")] if x]))
+    fresh = subprocess.run([sys.executable, "-m", "chieflie.cli", *argv],
+                           capture_output=True, text=True, env=env,
+                           check=False)
+    assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+    assert code == 0 and out

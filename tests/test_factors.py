@@ -17,10 +17,11 @@ from chieflie.factors import (ChiefFactor, MCrossing, chief_factor_catalog,
                               m_crossing_swap, m_related, make_crossing,
                               module_hom_space, supplement_join,
                               supplements_relaxed)
-from chieflie.ideals import all_ideals, chief_series, is_chief_pair
+from chieflie.ideals import all_ideals, chief_series, core, is_chief_pair
 from chieflie.linalg import (Matrix, Subspace, rref_rows, subspace_intersect,
                              subspace_leq, subspace_sum)
-from chieflie.maximal import PrimitiveKind, record_for, supplements_of
+from chieflie.maximal import (PrimitiveKind, complements_of, maximal_records,
+                              record_for, supplements_of)
 from chieflie.oracle import oracle_subalgebras
 
 SMALL = [heisenberg(2), heisenberg(3), nonabelian2(2), nonabelian2(3),
@@ -792,3 +793,20 @@ def test_factor_machinery_on_random_solvables():
                     rel = m_related(f, g)
                     if rel is not None:
                         assert f.frattini == g.frattini
+
+
+def test_catalog_classification_matches_maximal_scans():
+    """get_factor scans the maximal subalgebras once per factor and filters
+    the complements from the supplements; its lists must be what
+    supplements_of and complements_of find, and every maximal record's core
+    what core finds."""
+    algebras = [e.algebra for e in registry()] + [
+        random_solvable(5, p, seed) for p in (2, 3) for seed in range(4)]
+    for l in algebras:
+        for f in chief_factor_catalog(l):
+            assert f.supplements == supplements_of(l, f.a, f.b)
+            assert f.complements == complements_of(l, f.a, f.b)
+            assert f.supplemented == bool(f.supplements)
+            assert f.complemented == bool(f.complements)
+        for rec in maximal_records(l):
+            assert rec.core == core(l, rec.subalgebra)

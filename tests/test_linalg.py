@@ -207,6 +207,32 @@ def test_solve_random_consistency():
                 assert all(sum(r[j] * k[j] for j in range(n)) % p == 0 for r in a)
 
 
+@settings(max_examples=120, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_solve_linear_matches_brute_force_property(data):
+    """The kernel is the null space of A found by trying every vector, and
+    a particular solution comes back exactly when some x solves A x = b."""
+    p = data.draw(st.sampled_from((2, 3, 5, 7)))
+    n = data.draw(st.integers(1, 5))
+    m = data.draw(st.integers(1, 5))
+    entries = st.lists(st.integers(0, p - 1), min_size=n, max_size=n)
+    a = [tuple(data.draw(entries)) for _ in range(m)]
+    # most calls in the library are homogeneous
+    b = (0,) * m if data.draw(st.booleans()) else tuple(
+        data.draw(st.lists(st.integers(0, p - 1), min_size=m, max_size=m)))
+
+    def image(x):
+        return tuple(sum(r[j] * x[j] for j in range(n)) % p for r in a)
+
+    points = list(itertools.product(range(p), repeat=n))
+    part, kernel = solve_linear(a, b, p)
+    assert _brute_members(kernel) == {x for x in points if not any(image(x))}
+    solvable = any(image(x) == b for x in points)
+    assert (part is not None) == solvable
+    if part is not None:
+        assert image(part) == b
+
+
 # ---------------------------------------------------------------------------
 # enumeration
 # ---------------------------------------------------------------------------

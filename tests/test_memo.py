@@ -1,0 +1,56 @@
+"""The memo inventory: every process-global memo table and why it is kept.
+
+A memo table holds strong references to its keys and values for the life of
+the process and is never freed, so a function is memoised only when some
+traffic asks it the same question again.  Each entry names that traffic.
+"""
+
+import importlib
+import pkgutil
+
+import chieflie
+
+# Hits are from one seed-0 pass (jh = jh_corpus, rs = random_solvable,
+# cli = cli_analyze) or from criterion 5 (tests/test_acceptance.py).
+MEMOISED = {
+    "field.prime_field": "every field operation; 41,147 hits on rs",
+    "linalg.nonzero_directions": "scans of a seen shape; 2,277 hits on rs",
+    "algebra.quotient_algebra": "maximal/Frattini recursion; 889 hits on rs",
+    "ideals.core": "only because the benchmark reads its hit ratio",
+    "ideals.minimal_ideals_over": "ideal and series searches; 2,599 on rs",
+    "ideals.is_chief_pair": "factor and series checks; 12,280 hits on jh",
+    "maximal.is_maximal": "criterion 5, 8,446 hits; 19-22 s without, not 6 s",
+    "maximal.algebra_isomorphisms": "criterion 5, 240 hits; 2 on cli",
+    "maximal.maximal_subalgebras": "supplement scans; 1,755 hits on rs",
+    "maximal.frattini": "is_frattini_factor's quotients; 1,332 hits on rs",
+    "maximal.maximal_records": "record_for, criterion 5, 266 hits; 11 on cli",
+    "maximal.record_for": "criterion 5's supplement joins, 8,446 hits",
+    "factors.get_factor": "transfers and relatedness; 42,027 hits on jh",
+    "factors.chief_factor_catalog": "m_related, crossings; 4,359 hits on jh",
+    "factors.crossing_catalog": "m_related; 4,350 hits on jh",
+    "factors.descends_to": "matching's factor pairs; 161,794 hits on jh",
+    "factors._action_matrices": "both sides of l_isomorphic; 5,635 on jh",
+    "factors.l_isomorphic": "l_connected per matched index; 4,687 on jh",
+    "factors.m_related": "matching's factor pairs; 24,795 hits on jh",
+    "jordanholder.transfer_supplemented": "series pairs; 2,784 hits on jh",
+    "jordanholder.transfer_frattini": "series pairs; 666 hits on jh",
+}
+
+
+def _memoised_functions() -> set[str]:
+    """Every function a chieflie module defines with a cache_info, found as
+    perfbench/worker.py finds them, as 'module.function'."""
+    modules = [chieflie] + [importlib.import_module(f"chieflie.{m.name}")
+                            for m in pkgutil.iter_modules(chieflie.__path__)]
+    out = set()
+    for module in modules:
+        short = module.__name__.removeprefix("chieflie.")
+        for name, obj in vars(module).items():
+            if hasattr(obj, "cache_info") and \
+                    getattr(obj, "__module__", None) == module.__name__:
+                out.add(f"{short}.{name}")
+    return out
+
+
+def test_memo_inventory_is_declared():
+    assert _memoised_functions() == set(MEMOISED)
