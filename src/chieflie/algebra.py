@@ -12,7 +12,7 @@ from dataclasses import dataclass, field as dc_field
 from functools import cached_property, lru_cache
 
 from .linalg import (Matrix, QuotientCoords, Subspace, Vector, _hash_once,
-                     quotient_coords, solve_linear, unit)
+                     _gf2_residue, _pack, quotient_coords, solve_linear, unit)
 
 
 class ValidationError(ValueError):
@@ -75,6 +75,24 @@ class LieAlgebra:
     @cached_property
     def zero_space(self) -> Subspace:
         return Subspace.zero(self.n, self.p)
+
+    @cached_property
+    def bracket_masks(self) -> tuple[int, ...]:
+        """Over GF(2): entry b, for x_j at bit b = n - 1 - j of a packed
+        vector, packs [x_0, x_j], ..., [x_{n-1}, x_j] end to end."""
+        n, sc = self.n, self.sc
+        return tuple(_pack([x for i in range(n) for x in sc[i][j]])
+                     for j in range(n - 1, -1, -1))
+
+    def ad_images(self, v: int) -> list[int]:
+        """Over GF(2), v packed: the packed [x_i, v], i = 0, ..., n - 1, by
+        one XOR per set bit of v."""
+        acc = 0
+        for b, col in enumerate(self.bracket_masks):
+            if v >> b & 1:
+                acc ^= col
+        n, low = self.n, (1 << self.n) - 1
+        return [acc >> s & low for s in range(n * (n - 1), -1, -n)]
 
     def basis_vector(self, i: int) -> Vector:
         return unit(i, self.n)
@@ -149,6 +167,9 @@ def is_subalgebra(l: LieAlgebra, u: Subspace) -> bool:
 
 
 def is_ideal(l: LieAlgebra, u: Subspace) -> bool:
+    if l.p == 2:
+        return not any(_gf2_residue(u._basis, w)
+                       for a in u._basis for w in l.ad_images(a))
     for e in l.full.rows:
         for a in u.rows:
             if not u.contains(bracket(l, e, a)):

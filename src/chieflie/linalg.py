@@ -10,8 +10,8 @@ order used for every canonical choice in the package.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field as dc_field
-from functools import lru_cache, reduce
+from dataclasses import dataclass
+from functools import cached_property, lru_cache, reduce
 
 from .field import prime_field
 
@@ -39,9 +39,6 @@ def vec_add(u: Vector, v: Vector, p: int) -> Vector:
 def vec_scale(c: int, u: Vector, p: int) -> Vector:
     return tuple((c * a) % p for a in u)
 
-def is_zero_vec(u: Vector) -> bool:
-    return not any(u)
-
 def unit(i: int, n: int) -> Vector:
     """The i-th standard basis vector of length n."""
     return tuple(1 if j == i else 0 for j in range(n))
@@ -50,8 +47,11 @@ def unit(i: int, n: int) -> Vector:
 def rref_rows(rows, p: int) -> Rows:
     """Canonical reduced row echelon form; zero rows dropped.  Entries may
     be any ints; the output entries lie in [0, p)."""
-    if p == 2:
-        return _rref_gf2(rows)
+    if p == 2:  # pack, reduce with _gf2_span, unpack
+        rows = tuple(rows)
+        n = len(rows[0]) if rows else 0
+        return tuple(_unpack(m, n) for m in
+                     sorted(_gf2_span(map(_pack, rows)), reverse=True))
     mat = []
     for v in rows:
         v = [x % p for x in v]
@@ -85,38 +85,53 @@ def rref_rows(rows, p: int) -> Rows:
     return tuple(tuple(row) for row in mat[:r])
 
 
-def _rref_gf2(rows) -> Rows:
-    """rref_rows over GF(2) on rows packed as ints, column 0 the top bit.
+def _pack(v: Vector) -> int:
+    """A GF(2) vector as an int, column 0 the top bit."""
+    m = 0
+    for x in v:
+        m = (m << 1) | (x & 1)
+    return m
 
-    basis maps each pivot's bit position to its row, kept fully reduced: a
-    row has a zero at every other pivot bit, so one XOR per pivot reduces an
-    input row, and a new row is cleared out of the rows already kept."""
-    basis: dict[int, int] = {}
-    n = 0
-    for r in rows:
-        n = len(r)
-        mask = 0
-        for x in r:
-            mask = (mask << 1) | (x & 1)
-        for bit, row in basis.items():
-            if mask >> bit & 1:
-                mask ^= row
-        if not mask:
-            continue
-        top = mask.bit_length() - 1
-        for bit, row in basis.items():
-            if row >> top & 1:
-                basis[bit] = row ^ mask
-        basis[top] = mask
-    shifts = range(n - 1, -1, -1)
-    return tuple([tuple([basis[bit] >> s & 1 for s in shifts])
-                  for bit in sorted(basis, reverse=True)])
+
+def _unpack(m: int, n: int) -> Vector:
+    return tuple([m >> s & 1 for s in range(n - 1, -1, -1)])
+
+
+def _gf2_residue(basis, mask: int) -> int:
+    """A packed vector reduced modulo basis, packed rows kept by _gf2_add:
+    each row's top bit is its pivot, and no other row has it set, so one
+    pass clears every pivot (x ^ row < x iff x has row's pivot set)."""
+    for row in basis:
+        if (mask ^ row) < mask:
+            mask ^= row
+    return mask
+
+
+def _gf2_add(basis: list[int], mask: int) -> int:
+    """The one GF(2) elimination step: reduce mask modulo basis; a nonzero
+    residual is cleared out of the rows and added.  Returns the residual."""
+    mask = _gf2_residue(basis, mask)
+    if mask:
+        top = 1 << (mask.bit_length() - 1)
+        for i, row in enumerate(basis):
+            if row & top:
+                basis[i] = row ^ mask
+        basis.append(mask)
+    return mask
+
+
+def _gf2_span(masks, basis=()) -> list[int]:
+    """A basis kept by _gf2_add of the span of masks and basis."""
+    basis = list(basis)
+    for m in masks:
+        _gf2_add(basis, m)
+    return basis
 
 
 def _hash_once(cls):
-    """Class decorator for the frozen dataclasses used as memo keys: keep
-    the value of the generated __hash__ (the hash of the compared-field
-    tuple) on the instance after its first use."""
+    """Class decorator for the immutable values used as memo keys: keep the
+    value of their __hash__ (the hash of the compared-field tuple, or of
+    (n, p, rows) for Subspace) on the instance after its first use."""
     fieldwise = cls.__hash__
 
     def __hash__(self) -> int:
@@ -142,32 +157,57 @@ def _pivots_of(rows: Rows) -> tuple[int, ...]:
 
 
 @_hash_once
-@dataclass(frozen=True)
 class Subspace:
     """A subspace of GF(p)^n in canonical (RREF) form.
 
-    Construction reduces any spanning rows to their RREF, so rows is always
-    the canonical basis of the span it was given.
+    Construction reduces any spanning rows, each of length n, to their RREF,
+    so rows is always the canonical basis of the span it was given.  Over
+    GF(2) the basis is kept as fully reduced packed rows (_pack) in pivot
+    order, and rows is unpacked from them on first use.  Equality compares
+    that basis; the hash is hash((n, p, rows)) over every field.
     """
 
-    n: int
-    p: int
-    rows: Rows
-    pivots: tuple[int, ...] = dc_field(default=(), compare=False)
+    def __init__(self, n: int, p: int, rows):
+        rows = tuple(rows)
+        for r in rows:
+            if len(r) != n:
+                raise ValueError(f"vector of length {len(r)} in ambient dimension {n}")
+        if p == 2:
+            Subspace._of_gf2(n, _gf2_span(map(_pack, rows)), self)
+            return
+        rows = rref_rows(rows, p)
+        self.__dict__.update(n=n, p=p, _basis=rows, rows=rows,
+                             pivots=_pivots_of(rows))
 
-    def __post_init__(self):
-        rows = rref_rows(self.rows, self.p)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "pivots", _pivots_of(rows))
+    @classmethod
+    def _of_gf2(cls, n: int, basis: list[int], into=None) -> "Subspace":
+        """The GF(2) subspace spanned by basis, a list kept by _gf2_add;
+        filled into `into` if given, else into a new instance."""
+        s = object.__new__(cls) if into is None else into
+        masks = tuple(sorted(basis, reverse=True))
+        s.__dict__.update(n=n, p=2, _basis=masks, pivots=tuple(
+            [n - m.bit_length() for m in masks]))
+        return s
+
+    @cached_property
+    def rows(self) -> Rows:
+        return tuple(_unpack(m, self.n) for m in self._basis)
+
+    def __eq__(self, other):
+        if other.__class__ is not Subspace:
+            return NotImplemented
+        return (self.n, self.p, self._basis) == (other.n, other.p, other._basis)
+
+    def __hash__(self):
+        return hash((self.n, self.p, self.rows))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Subspace is immutable; cannot set {name}")
 
     # -- construction ------------------------------------------------------
 
     @classmethod
     def span(cls, n: int, p: int, vectors) -> "Subspace":
-        vectors = tuple(vectors)
-        for v in vectors:
-            if len(v) != n:
-                raise ValueError(f"vector of length {len(v)} in ambient dimension {n}")
         return cls(n, p, vectors)
 
     @classmethod
@@ -182,11 +222,13 @@ class Subspace:
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self._basis)
 
     def reduce(self, v: Vector) -> Vector:
         """Residual of v after reduction modulo this subspace."""
         p = self.p
+        if p == 2:
+            return _unpack(_gf2_residue(self._basis, _pack(v)), self.n)
         v = list(v)
         for row, piv in zip(self.rows, self.pivots):
             c = v[piv] % p
@@ -195,7 +237,9 @@ class Subspace:
         return tuple(x % p for x in v)
 
     def contains(self, v: Vector) -> bool:
-        return is_zero_vec(self.reduce(v))
+        if self.p == 2:
+            return not _gf2_residue(self._basis, _pack(v))
+        return not any(self.reduce(v))
 
     def coords(self, v: Vector) -> Vector:
         """Coordinates of v in the canonical basis; v must lie in this
@@ -233,25 +277,32 @@ def _check_ambient(u: Subspace, v: Subspace) -> None:
 
 def subspace_sum(u: Subspace, v: Subspace) -> Subspace:
     _check_ambient(u, v)
-    return Subspace(u.n, u.p, u.rows + v.rows)
+    if u.p != 2:
+        return Subspace(u.n, u.p, u.rows + v.rows)
+    basis = _gf2_span(v._basis, u._basis)
+    return u if len(basis) == u.dim else Subspace._of_gf2(u.n, basis)
 
 
 def subspace_intersect(u: Subspace, v: Subspace) -> Subspace:
     """Zassenhaus: rows [x|x] for x in U and [y|0] for y in V; the RREF rows
-    with zero left half carry a basis of the intersection in the right half."""
+    with zero left half carry a basis of the intersection in the right half.
+    Over GF(2) the rows are packed 2n-bit ints, the left half on top."""
     _check_ambient(u, v)
     n, p = u.n, u.p
+    if p == 2:
+        basis = _gf2_span([(x << n) | x for x in u._basis] +
+                          [y << n for y in v._basis])
+        return Subspace._of_gf2(n, [m for m in basis if not m >> n])
     zero = (0,) * n
     stacked = tuple(r + r for r in u.rows) + tuple(r + zero for r in v.rows)
-    out = []
-    for row in rref_rows(stacked, p):
-        if not any(row[:n]):
-            out.append(row[n:])
-    return Subspace(n, p, out)
+    return Subspace(n, p, [row[n:] for row in rref_rows(stacked, p)
+                           if not any(row[:n])])
 
 
 def subspace_leq(u: Subspace, v: Subspace) -> bool:
     _check_ambient(u, v)
+    if u.p == 2:
+        return not any(_gf2_residue(v._basis, m) for m in u._basis)
     return all(v.contains(r) for r in u.rows)
 
 

@@ -76,11 +76,7 @@ def enumerated_maximal_subalgebras(l: LieAlgebra,
 
 
 def _hyperplanes(n: int, p: int) -> list[Subspace]:
-    out = []
-    for functional in nonzero_directions(n, p):
-        _, kernel = solve_linear([functional], (0,), p)
-        out.append(kernel)
-    return out
+    return [solve_linear([f], (0,), p)[1] for f in nonzero_directions(n, p)]
 
 
 def _complement_subalgebras(l: LieAlgebra, a: Subspace) -> list[Subspace]:

@@ -258,7 +258,7 @@ def _assert_restricted_scan_agrees(l):
         qc = quotient_coords(l.full, b)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(ideals_module, "RESTRICT_ABOVE_LINES", 0)
-            lines = [Subspace(l.n, l.p, (qc.project(v),)) for v in
+            lines = [Subspace(qc.dim, l.p, (qc.project(v),)) for v in
                      ideals_module._direction_lifts(l, l.full, b)]
         assert len(set(lines)) == len(lines)
     hyperplane = Subspace(l.n, l.p, l.full.rows[:-1])
