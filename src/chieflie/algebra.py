@@ -11,8 +11,8 @@ import itertools
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property, lru_cache
 
-from .linalg import (Matrix, QuotientCoords, Subspace, Vector, _hash_once,
-                     _gf2_residue, _pack, quotient_coords, solve_linear, unit)
+from .linalg import (Matrix, PackedMaps, QuotientCoords, Subspace, Vector,
+                     _hash_once, quotient_coords, solve_linear, unit)
 
 
 class ValidationError(ValueError):
@@ -77,22 +77,9 @@ class LieAlgebra:
         return Subspace.zero(self.n, self.p)
 
     @cached_property
-    def bracket_masks(self) -> tuple[int, ...]:
-        """Over GF(2): entry b, for x_j at bit b = n - 1 - j of a packed
-        vector, packs [x_0, x_j], ..., [x_{n-1}, x_j] end to end."""
-        n, sc = self.n, self.sc
-        return tuple(_pack([x for i in range(n) for x in sc[i][j]])
-                     for j in range(n - 1, -1, -1))
-
-    def ad_images(self, v: int) -> list[int]:
-        """Over GF(2), v packed: the packed [x_i, v], i = 0, ..., n - 1, by
-        one XOR per set bit of v."""
-        acc = 0
-        for b, col in enumerate(self.bracket_masks):
-            if v >> b & 1:
-                acc ^= col
-        n, low = self.n, (1 << self.n) - 1
-        return [acc >> s & low for s in range(n * (n - 1), -1, -n)]
+    def ad_maps(self) -> PackedMaps:
+        """Over GF(2): ad x_0, ..., ad x_{n-1} on packed vectors."""
+        return PackedMaps(self.sc)
 
     def basis_vector(self, i: int) -> Vector:
         return unit(i, self.n)
@@ -168,8 +155,7 @@ def is_subalgebra(l: LieAlgebra, u: Subspace) -> bool:
 
 def is_ideal(l: LieAlgebra, u: Subspace) -> bool:
     if l.p == 2:
-        return not any(_gf2_residue(u._basis, w)
-                       for a in u._basis for w in l.ad_images(a))
+        return u.invariant_under(l.ad_maps)
     for e in l.full.rows:
         for a in u.rows:
             if not u.contains(bracket(l, e, a)):

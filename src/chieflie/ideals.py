@@ -14,8 +14,8 @@ from functools import lru_cache
 from .algebra import (LieAlgebra, ad_matrix, bracket, is_ideal,
                       subspace_product)
 from .field import prime_field
-from .linalg import (Subspace, _gf2_add, _hash_once, quotient_coords,
-                     solve_linear, subspace_leq, subspace_sum)
+from .linalg import (Subspace, _hash_once, quotient_coords, solve_linear,
+                     spin, subspace_leq, subspace_sum)
 
 # Scans of more lines than this spin only an ad x Fitting cover's lines
 # (_direction_lifts).  Choosing x costs more than a short scan saves: at 0,
@@ -29,20 +29,14 @@ def ideal_closure(l: LieAlgebra, seed: Subspace,
     """Smallest ideal containing seed and base, by spinning seed under ad L:
     each vector is reduced against a semi-echelon basis, only rows new to
     the span are bracketed with the basis of L, and one RREF runs at the
-    end.  base must already be an ideal (unchecked), so it is never spun."""
+    end (over GF(2), linalg.spin under ad L on packed rows, with XOR).
+    base must already be an ideal (unchecked), so it is never spun."""
     if (seed.n, seed.p) != (l.n, l.p):
         raise ValueError(f"seed lies in GF({seed.p})^{seed.n}, not in L")
     p, inv = l.p, prime_field(l.p).inv_table
-    if p == 2:  # the same spin on packed rows (linalg._pack), with XOR
-        basis = [] if base is None else list(base._basis)
-        todo, fresh = list(seed._basis), []
-        while len(basis) < l.n and (todo or fresh):
-            if not todo:
-                todo = l.ad_images(fresh.pop())
-            v = _gf2_add(basis, todo.pop())
-            if v:
-                fresh.append(v)
-        return l.full if len(basis) == l.n else Subspace._of_gf2(l.n, basis)
+    if p == 2:
+        out = spin(seed, l.ad_maps, base)
+        return l.full if out.dim == l.n else out
     basis = [] if base is None else list(zip(base.rows, base.pivots))
     todo, fresh = list(seed.rows), []  # vectors to reduce; rows to bracket
     while len(basis) < l.n and (todo or fresh):

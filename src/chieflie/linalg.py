@@ -162,9 +162,10 @@ class Subspace:
 
     Construction reduces any spanning rows, each of length n, to their RREF,
     so rows is always the canonical basis of the span it was given.  Over
-    GF(2) the basis is kept as fully reduced packed rows (_pack) in pivot
-    order, and rows is unpacked from them on first use.  Equality compares
-    that basis; the hash is hash((n, p, rows)) over every field.
+    GF(2) the basis is also kept as packed rows (_pack) in pivot order, and
+    a subspace built from packed rows (sum, meet, spin) unpacks rows only on
+    first use.  Equality compares that basis; the hash is hash((n, p, rows))
+    over every field.
     """
 
     def __init__(self, n: int, p: int, rows):
@@ -172,18 +173,14 @@ class Subspace:
         for r in rows:
             if len(r) != n:
                 raise ValueError(f"vector of length {len(r)} in ambient dimension {n}")
-        if p == 2:
-            Subspace._of_gf2(n, _gf2_span(map(_pack, rows)), self)
-            return
         rows = rref_rows(rows, p)
-        self.__dict__.update(n=n, p=p, _basis=rows, rows=rows,
-                             pivots=_pivots_of(rows))
+        self.__dict__.update(n=n, p=p, rows=rows, pivots=_pivots_of(rows),
+                             _basis=tuple(map(_pack, rows)) if p == 2 else rows)
 
     @classmethod
-    def _of_gf2(cls, n: int, basis: list[int], into=None) -> "Subspace":
-        """The GF(2) subspace spanned by basis, a list kept by _gf2_add;
-        filled into `into` if given, else into a new instance."""
-        s = object.__new__(cls) if into is None else into
+    def _of_gf2(cls, n: int, basis: list[int]) -> "Subspace":
+        """The GF(2) subspace spanned by basis, a list kept by _gf2_add."""
+        s = object.__new__(cls)
         masks = tuple(sorted(basis, reverse=True))
         s.__dict__.update(n=n, p=2, _basis=masks, pivots=tuple(
             [n - m.bit_length() for m in masks]))
@@ -241,6 +238,12 @@ class Subspace:
             return not _gf2_residue(self._basis, _pack(v))
         return not any(self.reduce(v))
 
+    def invariant_under(self, maps: "PackedMaps") -> bool:
+        """Over GF(2): whether every map of maps sends this subspace into
+        itself."""
+        return not any(_gf2_residue(self._basis, w)
+                       for a in self._basis for w in maps.images(a))
+
     def coords(self, v: Vector) -> Vector:
         """Coordinates of v in the canonical basis; v must lie in this
         subspace (unchecked), so the pivot entries are the coordinates."""
@@ -295,8 +298,11 @@ def subspace_intersect(u: Subspace, v: Subspace) -> Subspace:
         return Subspace._of_gf2(n, [m for m in basis if not m >> n])
     zero = (0,) * n
     stacked = tuple(r + r for r in u.rows) + tuple(r + zero for r in v.rows)
-    return Subspace(n, p, [row[n:] for row in rref_rows(stacked, p)
-                           if not any(row[:n])])
+    out = []
+    for row in rref_rows(stacked, p):
+        if not any(row[:n]):
+            out.append(row[n:])
+    return Subspace(n, p, out)
 
 
 def subspace_leq(u: Subspace, v: Subspace) -> bool:
@@ -304,6 +310,43 @@ def subspace_leq(u: Subspace, v: Subspace) -> bool:
     if u.p == 2:
         return not any(_gf2_residue(v._basis, m) for m in u._basis)
     return all(v.contains(r) for r in u.rows)
+
+
+class PackedMaps:
+    """Linear maps f_0, ..., f_{n-1} of GF(2)^n on packed vectors, given by
+    maps[i][j] = f_i(e_j): the column for the unit vector at bit b packs its
+    n images end to end, so images(v) costs one XOR per set bit of v."""
+
+    def __init__(self, maps):
+        self.n = n = len(maps)
+        self.columns = tuple(_pack([x for f in maps for x in f[j]])
+                             for j in range(n - 1, -1, -1))
+
+    def images(self, v: int) -> list[int]:
+        """The packed f_0(v), ..., f_{n-1}(v) of a packed v."""
+        acc = 0
+        for b, col in enumerate(self.columns):
+            if v >> b & 1:
+                acc ^= col
+        n, low = self.n, (1 << self.n) - 1
+        return [acc >> s & low for s in range(n * (n - 1), -1, -n)]
+
+
+def spin(seed: Subspace, maps: PackedMaps,
+         base: Subspace | None = None) -> Subspace:
+    """Over GF(2): the smallest subspace containing seed and base that maps
+    sends into itself.  base must already be invariant (unchecked), so only
+    the rows new to the span are mapped."""
+    n = seed.n
+    basis = [] if base is None else list(base._basis)
+    todo, fresh = list(seed._basis), []
+    while len(basis) < n and (todo or fresh):
+        if not todo:
+            todo = maps.images(fresh.pop())
+        v = _gf2_add(basis, todo.pop())
+        if v:
+            fresh.append(v)
+    return Subspace._of_gf2(n, basis)
 
 
 def solve_linear(a_rows, b: Vector, p: int):

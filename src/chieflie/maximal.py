@@ -76,7 +76,11 @@ def enumerated_maximal_subalgebras(l: LieAlgebra,
 
 
 def _hyperplanes(n: int, p: int) -> list[Subspace]:
-    return [solve_linear([f], (0,), p)[1] for f in nonzero_directions(n, p)]
+    out = []
+    for functional in nonzero_directions(n, p):
+        _, kernel = solve_linear([functional], (0,), p)
+        out.append(kernel)
+    return out
 
 
 def _complement_subalgebras(l: LieAlgebra, a: Subspace) -> list[Subspace]:

@@ -176,17 +176,18 @@ def _flips_caught(l, flips):
     seeds = [s.rows for s in enumerate_subspaces(l.n, 2)]
     for s in seeds:
         _assert_ideal_paths(l, s, l.zero_space)
-    table = l.bracket_masks
+    maps = l.ad_maps
+    table = maps.columns
     try:
         for b, bit in flips:
             flipped = list(table)
             flipped[b] ^= 1 << bit
-            l.__dict__["bracket_masks"] = tuple(flipped)
+            maps.columns = tuple(flipped)
             with pytest.raises(AssertionError):
                 for s in seeds:
                     _assert_ideal_paths(l, s, l.zero_space)
     finally:
-        l.__dict__["bracket_masks"] = table
+        maps.columns = table
 
 
 def test_bracket_table_flip_is_caught():
