@@ -11,6 +11,7 @@ import itertools
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property, lru_cache
 
+from .field import prime_field
 from .linalg import (Matrix, PackedMaps, QuotientCoords, Subspace, Vector,
                      _hash_once, quotient_coords, solve_linear, unit)
 
@@ -54,11 +55,16 @@ class LieAlgebra:
     @classmethod
     def from_brackets(cls, n: int, p: int, brackets: dict, labels=None) -> "LieAlgebra":
         """Build from {(i, j): vector} for i < j (0-based); the (j, i) entries
-        are filled by antisymmetry, everything else is zero."""
+        are filled by antisymmetry, everything else is zero.  p must be a
+        supported prime and every vector must have length n (ValueError)."""
+        prime_field(p)
         sc = [[[0] * n for _ in range(n)] for _ in range(n)]
         for (i, j), vec in brackets.items():
             if not (0 <= i < n and 0 <= j < n) or i == j:
                 raise ValueError(f"bad bracket index pair ({i},{j}) for dimension {n}")
+            if len(vec) != n:
+                raise ValueError(f"bracket ({i},{j}) has length {len(vec)}, "
+                                 f"not dimension {n}")
             for k, c in enumerate(vec):
                 sc[i][j][k] = c % p
                 sc[j][i][k] = -c % p
@@ -78,8 +84,8 @@ class LieAlgebra:
 
     @cached_property
     def ad_maps(self) -> PackedMaps:
-        """Over GF(2): ad x_0, ..., ad x_{n-1} on packed vectors."""
-        return PackedMaps(self.sc)
+        """ad x_0, ..., ad x_{n-1} on packed vectors."""
+        return PackedMaps(self.sc, self.p)
 
     def basis_vector(self, i: int) -> Vector:
         return unit(i, self.n)
@@ -154,13 +160,7 @@ def is_subalgebra(l: LieAlgebra, u: Subspace) -> bool:
 
 
 def is_ideal(l: LieAlgebra, u: Subspace) -> bool:
-    if l.p == 2:
-        return u.invariant_under(l.ad_maps)
-    for e in l.full.rows:
-        for a in u.rows:
-            if not u.contains(bracket(l, e, a)):
-                return False
-    return True
+    return u.invariant_under(l.ad_maps)
 
 
 def ad_matrix(l: LieAlgebra, x: Vector,

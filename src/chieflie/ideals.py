@@ -13,7 +13,6 @@ from functools import lru_cache
 
 from .algebra import (LieAlgebra, ad_matrix, bracket, is_ideal,
                       subspace_product)
-from .field import prime_field
 from .linalg import (Subspace, _hash_once, quotient_coords, solve_linear,
                      spin, subspace_leq, subspace_sum)
 
@@ -26,36 +25,13 @@ RESTRICT_ABOVE_LINES = 200
 
 def ideal_closure(l: LieAlgebra, seed: Subspace,
                   base: Subspace | None = None) -> Subspace:
-    """Smallest ideal containing seed and base, by spinning seed under ad L:
-    each vector is reduced against a semi-echelon basis, only rows new to
-    the span are bracketed with the basis of L, and one RREF runs at the
-    end (over GF(2), linalg.spin under ad L on packed rows, with XOR).
-    base must already be an ideal (unchecked), so it is never spun."""
+    """Smallest ideal containing seed and base: linalg.spin of seed under
+    ad L, which maps only rows new to the span.  base must already be an
+    ideal (unchecked), so it is never spun."""
     if (seed.n, seed.p) != (l.n, l.p):
         raise ValueError(f"seed lies in GF({seed.p})^{seed.n}, not in L")
-    p, inv = l.p, prime_field(l.p).inv_table
-    if p == 2:
-        out = spin(seed, l.ad_maps, base)
-        return l.full if out.dim == l.n else out
-    basis = [] if base is None else list(zip(base.rows, base.pivots))
-    todo, fresh = list(seed.rows), []  # vectors to reduce; rows to bracket
-    while len(basis) < l.n and (todo or fresh):
-        if not todo:
-            u = fresh.pop()
-            todo = [bracket(l, e, u) for e in l.full.rows]
-        v = todo.pop()
-        for row, piv in basis:
-            c = v[piv]
-            if c:
-                v = [(x - c * y) % p for x, y in zip(v, row)]
-        piv = next((j for j, x in enumerate(v) if x), None)
-        if piv is not None:
-            row = tuple(inv[v[piv]] * x % p for x in v)
-            basis.append((row, piv))
-            fresh.append(row)
-    if len(basis) == l.n:
-        return l.full
-    return Subspace(l.n, p, [row for row, _ in basis])
+    out = spin(seed, l.ad_maps, base)
+    return l.full if out.dim == l.n else out
 
 
 def subalgebra_closure(l: LieAlgebra, seed: Subspace) -> Subspace:

@@ -46,54 +46,40 @@ def unit(i: int, n: int) -> Vector:
 
 def rref_rows(rows, p: int) -> Rows:
     """Canonical reduced row echelon form; zero rows dropped.  Entries may
-    be any ints; the output entries lie in [0, p)."""
-    if p == 2:  # pack, reduce with _gf2_span, unpack
-        rows = tuple(rows)
-        n = len(rows[0]) if rows else 0
-        return tuple(_unpack(m, n) for m in
-                     sorted(_gf2_span(map(_pack, rows)), reverse=True))
-    mat = []
-    for v in rows:
-        v = [x % p for x in v]
-        if any(v):
-            mat.append(v)
-    if not mat:
-        return ()
-    inv = prime_field(p).inv_table
-    r = 0
-    for c in range(len(mat[0])):
-        pivot_row = None
-        for i in range(r, len(mat)):
-            if mat[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        row = mat[r]
-        if row[c] != 1:
-            head = inv[row[c]]
-            row = mat[r] = [(head * x) % p for x in row]
-        for i in range(len(mat)):
-            f = mat[i][c]
-            if f and i != r:
-                mat[i] = [(x - f * y) % p for x, y in zip(mat[i], row)]
-        r += 1
-        if r == len(mat):
-            break
-    # Rows past r are zero: every column was cleared below the pivots.
-    return tuple(tuple(row) for row in mat[:r])
+    be any ints; the output entries lie in [0, p).  Rows of unequal length
+    raise ValueError."""
+    rows = tuple(rows)
+    n = len(rows[0]) if rows else 0
+    if any(len(r) != n for r in rows):
+        raise ValueError(f"rows of unequal lengths {sorted({len(r) for r in rows})}")
+    basis = _span(p, [_pack(r, p) for r in rows])
+    return tuple([_unpack(m, n, p) for m in sorted(basis, reverse=True)])
 
 
-def _pack(v: Vector) -> int:
-    """A GF(2) vector as an int, column 0 the top bit."""
+# -- the packed kernel ------------------------------------------------------
+#
+# Every subspace algorithm below runs on packed vectors through one
+# elimination pair, chosen once per operation by _pair(p): an int mask over
+# GF(2) and a tuple of residues over odd p.  A basis kept by the pair's add
+# is fully reduced (leading entry 1, that column clear in every other row),
+# so sorted in descending order it is the RREF, for ints and tuples alike.
+
+
+def _pack(v: Vector, p: int):
+    """v as a packed vector: over GF(2) an int, column 0 the top bit; over
+    odd p a tuple of residues."""
+    if p != 2:
+        return tuple([x % p for x in v])
     m = 0
     for x in v:
         m = (m << 1) | (x & 1)
     return m
 
 
-def _unpack(m: int, n: int) -> Vector:
+def _unpack(m, n: int, p: int) -> Vector:
+    """The vector of a packed one; a false residue is the zero vector."""
+    if p != 2:
+        return m or (0,) * n
     return tuple([m >> s & 1 for s in range(n - 1, -1, -1)])
 
 
@@ -120,11 +106,48 @@ def _gf2_add(basis: list[int], mask: int) -> int:
     return mask
 
 
-def _gf2_span(masks, basis=()) -> list[int]:
-    """A basis kept by _gf2_add of the span of masks and basis."""
+def _pair(p: int):
+    """(residue, add) on packed vectors of GF(p)^n.  residue(basis, v) is v
+    reduced modulo a basis kept by add, or a false value if v lies in its
+    span; add(basis, v) appends that residue, normalised and cleared out of
+    the other rows, and returns it.  Over odd p a row's pivot is
+    row.index(1), its leading entry."""
+    if p == 2:
+        return _gf2_residue, _gf2_add
+    inv = prime_field(p).inv_table
+
+    def residue(basis, v):
+        for row in basis:
+            c = v[row.index(1)]
+            if c:
+                v = [(x - c * y) % p for x, y in zip(v, row)]
+        return tuple(v) if any(v) else ()
+
+    def add(basis, v):
+        v = residue(basis, v)
+        if v:
+            for piv, head in enumerate(v):
+                if head:
+                    break
+            if head != 1:
+                head = inv[head]
+                v = tuple([head * x % p for x in v])
+            for i, row in enumerate(basis):
+                c = row[piv]
+                if c:
+                    basis[i] = tuple([(x - c * y) % p for x, y in zip(row, v)])
+            basis.append(v)
+        return v
+
+    return residue, add
+
+
+def _span(p: int, vectors, basis=()) -> list:
+    """A basis kept by _pair(p)'s add of the span of vectors and basis."""
+    add = _pair(p)[1]
     basis = list(basis)
-    for m in masks:
-        _gf2_add(basis, m)
+    for v in vectors:
+        add(basis, v)
     return basis
 
 
@@ -146,26 +169,15 @@ def _hash_once(cls):
     return cls
 
 
-def _pivots_of(rows: Rows) -> tuple[int, ...]:
-    out = []
-    for row in rows:
-        for j, x in enumerate(row):
-            if x:
-                out.append(j)
-                break
-    return tuple(out)
-
-
 @_hash_once
 class Subspace:
     """A subspace of GF(p)^n in canonical (RREF) form.
 
     Construction reduces any spanning rows, each of length n, to their RREF,
-    so rows is always the canonical basis of the span it was given.  Over
-    GF(2) the basis is also kept as packed rows (_pack) in pivot order, and
-    a subspace built from packed rows (sum, meet, spin) unpacks rows only on
-    first use.  Equality compares that basis; the hash is hash((n, p, rows))
-    over every field.
+    so rows is always the canonical basis of the span it was given.  The
+    basis is also kept packed (_pack) in pivot order, and a subspace built
+    from packed rows (sum, meet, spin) unpacks rows only on first use.
+    Equality compares that basis; the hash is hash((n, p, rows)).
     """
 
     def __init__(self, n: int, p: int, rows):
@@ -174,21 +186,25 @@ class Subspace:
             if len(r) != n:
                 raise ValueError(f"vector of length {len(r)} in ambient dimension {n}")
         rows = rref_rows(rows, p)
-        self.__dict__.update(n=n, p=p, rows=rows, pivots=_pivots_of(rows),
-                             _basis=tuple(map(_pack, rows)) if p == 2 else rows)
+        # Odd-p rows are residue tuples already: they are their own packing.
+        basis = tuple([_pack(r, p) for r in rows]) if p == 2 else rows
+        self.__dict__.update(n=n, p=p, rows=rows, _basis=basis,
+                             pivots=tuple([r.index(1) for r in rows]))
 
     @classmethod
-    def _of_gf2(cls, n: int, basis: list[int]) -> "Subspace":
-        """The GF(2) subspace spanned by basis, a list kept by _gf2_add."""
+    def _of(cls, n: int, p: int, basis: list) -> "Subspace":
+        """The subspace spanned by basis, a list kept by _pair(p)'s add."""
         s = object.__new__(cls)
-        masks = tuple(sorted(basis, reverse=True))
-        s.__dict__.update(n=n, p=2, _basis=masks, pivots=tuple(
-            [n - m.bit_length() for m in masks]))
+        s.__dict__.update(n=n, p=p, _basis=tuple(sorted(basis, reverse=True)))
         return s
 
     @cached_property
     def rows(self) -> Rows:
-        return tuple(_unpack(m, self.n) for m in self._basis)
+        return tuple([_unpack(m, self.n, self.p) for m in self._basis])
+
+    @cached_property
+    def pivots(self) -> tuple[int, ...]:
+        return tuple([r.index(1) for r in self.rows])
 
     def __eq__(self, other):
         if other.__class__ is not Subspace:
@@ -223,25 +239,16 @@ class Subspace:
 
     def reduce(self, v: Vector) -> Vector:
         """Residual of v after reduction modulo this subspace."""
-        p = self.p
-        if p == 2:
-            return _unpack(_gf2_residue(self._basis, _pack(v)), self.n)
-        v = list(v)
-        for row, piv in zip(self.rows, self.pivots):
-            c = v[piv] % p
-            if c:
-                v = [(x - c * y) % p for x, y in zip(v, row)]
-        return tuple(x % p for x in v)
+        p, residue = self.p, _pair(self.p)[0]
+        return _unpack(residue(self._basis, _pack(v, p)), self.n, p)
 
     def contains(self, v: Vector) -> bool:
-        if self.p == 2:
-            return not _gf2_residue(self._basis, _pack(v))
-        return not any(self.reduce(v))
+        return not _pair(self.p)[0](self._basis, _pack(v, self.p))
 
     def invariant_under(self, maps: "PackedMaps") -> bool:
-        """Over GF(2): whether every map of maps sends this subspace into
-        itself."""
-        return not any(_gf2_residue(self._basis, w)
+        """Whether every map of maps sends this subspace into itself."""
+        residue = _pair(self.p)[0]
+        return not any(residue(self._basis, w)
                        for a in self._basis for w in maps.images(a))
 
     def coords(self, v: Vector) -> Vector:
@@ -280,73 +287,78 @@ def _check_ambient(u: Subspace, v: Subspace) -> None:
 
 def subspace_sum(u: Subspace, v: Subspace) -> Subspace:
     _check_ambient(u, v)
-    if u.p != 2:
-        return Subspace(u.n, u.p, u.rows + v.rows)
-    basis = _gf2_span(v._basis, u._basis)
-    return u if len(basis) == u.dim else Subspace._of_gf2(u.n, basis)
+    basis = _span(u.p, v._basis, u._basis)
+    return u if len(basis) == u.dim else Subspace._of(u.n, u.p, basis)
 
 
 def subspace_intersect(u: Subspace, v: Subspace) -> Subspace:
-    """Zassenhaus: rows [x|x] for x in U and [y|0] for y in V; the RREF rows
-    with zero left half carry a basis of the intersection in the right half.
-    Over GF(2) the rows are packed 2n-bit ints, the left half on top."""
+    """Zassenhaus: rows [x|x] for x in U and [y|0] for y in V; the reduced
+    rows with zero left half carry a basis of the intersection in the right
+    half.  Over GF(2) the rows are packed 2n-bit ints, the left half on top."""
     _check_ambient(u, v)
     n, p = u.n, u.p
     if p == 2:
-        basis = _gf2_span([(x << n) | x for x in u._basis] +
-                          [y << n for y in v._basis])
-        return Subspace._of_gf2(n, [m for m in basis if not m >> n])
+        basis = _span(p, [(x << n) | x for x in u._basis] +
+                      [y << n for y in v._basis])
+        return Subspace._of(n, p, [m for m in basis if not m >> n])
     zero = (0,) * n
-    stacked = tuple(r + r for r in u.rows) + tuple(r + zero for r in v.rows)
-    out = []
-    for row in rref_rows(stacked, p):
-        if not any(row[:n]):
-            out.append(row[n:])
-    return Subspace(n, p, out)
+    basis = _span(p, [x + x for x in u._basis] + [y + zero for y in v._basis])
+    return Subspace._of(n, p, [r[n:] for r in basis if r.index(1) >= n])
 
 
 def subspace_leq(u: Subspace, v: Subspace) -> bool:
     _check_ambient(u, v)
-    if u.p == 2:
-        return not any(_gf2_residue(v._basis, m) for m in u._basis)
-    return all(v.contains(r) for r in u.rows)
+    residue = _pair(u.p)[0]
+    return not any(residue(v._basis, m) for m in u._basis)
 
 
 class PackedMaps:
-    """Linear maps f_0, ..., f_{n-1} of GF(2)^n on packed vectors, given by
-    maps[i][j] = f_i(e_j): the column for the unit vector at bit b packs its
-    n images end to end, so images(v) costs one XOR per set bit of v."""
+    """Linear maps f_0, ..., f_{n-1} of GF(p)^n on packed vectors, given by
+    maps[i][j] = f_i(e_j): the column of e_j packs its n images end to end,
+    so images(v) costs one XOR (GF(2)) or one scaled add (odd p) per nonzero
+    coordinate of v.  Over GF(2) columns[b] is the column of the unit vector
+    at bit b, e_{n-1-b}; over odd p columns[j] is that of e_j."""
 
-    def __init__(self, maps):
+    def __init__(self, maps, p: int):
         self.n = n = len(maps)
-        self.columns = tuple(_pack([x for f in maps for x in f[j]])
-                             for j in range(n - 1, -1, -1))
+        self.p = p
+        columns = [_pack([x for f in maps for x in f[j]], p) for j in range(n)]
+        self.columns = tuple(columns[::-1] if p == 2 else columns)
 
-    def images(self, v: int) -> list[int]:
+    def images(self, v) -> list:
         """The packed f_0(v), ..., f_{n-1}(v) of a packed v."""
-        acc = 0
-        for b, col in enumerate(self.columns):
-            if v >> b & 1:
-                acc ^= col
-        n, low = self.n, (1 << self.n) - 1
-        return [acc >> s & low for s in range(n * (n - 1), -1, -n)]
+        n, p = self.n, self.p
+        if p == 2:
+            acc = 0
+            for b, col in enumerate(self.columns):
+                if v >> b & 1:
+                    acc ^= col
+            low = (1 << n) - 1
+            return [acc >> s & low for s in range(n * (n - 1), -1, -n)]
+        acc = [0] * (n * n)
+        for c, col in zip(v, self.columns):
+            if c:
+                acc = [a + c * x for a, x in zip(acc, col)]
+        acc = [a % p for a in acc]
+        return [tuple(acc[s:s + n]) for s in range(0, n * n, n)]
 
 
 def spin(seed: Subspace, maps: PackedMaps,
          base: Subspace | None = None) -> Subspace:
-    """Over GF(2): the smallest subspace containing seed and base that maps
-    sends into itself.  base must already be invariant (unchecked), so only
-    the rows new to the span are mapped."""
-    n = seed.n
+    """The smallest subspace containing seed and base that maps sends into
+    itself.  base must already be invariant (unchecked), so only the rows
+    new to the span are mapped."""
+    n, p = seed.n, seed.p
+    add = _pair(p)[1]
     basis = [] if base is None else list(base._basis)
     todo, fresh = list(seed._basis), []
     while len(basis) < n and (todo or fresh):
         if not todo:
             todo = maps.images(fresh.pop())
-        v = _gf2_add(basis, todo.pop())
+        v = add(basis, todo.pop())
         if v:
             fresh.append(v)
-    return Subspace._of_gf2(n, basis)
+    return Subspace._of(n, p, basis)
 
 
 def solve_linear(a_rows, b: Vector, p: int):
@@ -361,7 +373,7 @@ def solve_linear(a_rows, b: Vector, p: int):
     if len(b) != m:
         raise ValueError(f"rhs length {len(b)} does not match {m} equations")
     aug = rref_rows(tuple(r + (bv % p,) for r, bv in zip(a_rows, b)), p)
-    pivots = _pivots_of(aug)
+    pivots = tuple([r.index(1) for r in aug])
     # A row pivoting on column n (the last row, if any) reads 0 = 1; the
     # rows before it are the RREF of A, so they also give the kernel.
     consistent = not pivots or pivots[-1] < n

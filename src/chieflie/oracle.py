@@ -4,8 +4,9 @@ algorithms on small inputs.
 Everything here enumerates subspaces or vectors outright and tests the
 defining property directly, sharing no logic with the production code paths
 beyond the bracket itself; oracle_rref_rows is the plain elimination that
-both kernels of rref_rows must match.  Budget limits of the subspace
-enumerator apply, so these are only usable for small n and p.
+the packed kernel of rref_rows must match over every field.  Budget limits
+of the subspace enumerator apply, so these are only usable for small n and
+p.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .linalg import Rows, Subspace, enumerate_subspaces, subspace_leq
 
 def oracle_rref_rows(rows, p: int) -> Rows:
     """Generic tuple RREF for every p, re-reducing entries mod p at each
-    test; the reference the GF(2) and odd-p kernels of rref_rows match."""
+    test; the reference the packed kernel of rref_rows matches."""
     mat = [list(r) for r in rows if any(r)]
     if not mat:
         return ()

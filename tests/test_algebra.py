@@ -66,6 +66,18 @@ def test_from_brackets_completion_is_antisymmetric():
     assert validate(l).ok
 
 
+def test_from_brackets_rejects_bad_lengths_and_fields():
+    with pytest.raises(ValueError, match="length 2, not dimension 3"):
+        LieAlgebra.from_brackets(3, 2, {(0, 1): (0, 1)})
+    with pytest.raises(ValueError, match="length 4, not dimension 3"):
+        LieAlgebra.from_brackets(3, 3, {(0, 1): (0, 0, 1, 0)})
+    for p in (0, 1, 4):
+        with pytest.raises(ValueError, match=f"unsupported prime {p}"):
+            LieAlgebra.from_brackets(3, p, {(0, 1): (0, 0, 1)})
+        with pytest.raises(ValueError, match=f"unsupported prime {p}"):
+            LieAlgebra.from_brackets(2, p, {})
+
+
 # ---------------------------------------------------------------------------
 # brackets
 # ---------------------------------------------------------------------------

@@ -302,6 +302,20 @@ def test_cli_bad_usage_is_input_error(capsys):
     assert code == 1
 
 
+def test_cli_corpus_rejects_unsupported_fields(capsys):
+    """A corpus target over GF(0), GF(1) or GF(4) is an input error that
+    prints nothing to stdout, as an algebra file over one is."""
+    for field in ("0", "1", "4"):
+        for argv in (["validate", "corpus:heisenberg"],
+                     ["analyze", "corpus:heisenberg"],
+                     ["validate", "corpus:random", "--dim", "3"]):
+            code, out, err = run(capsys, *argv, "--field", field)
+            assert (code, out) == (1, ""), (argv, field)
+            assert err.splitlines() == [
+                f"error: unsupported prime {field}; supported: "
+                f"(2, 3, 5, 7, 11, 13)"], (argv, field)
+
+
 def test_cli_input_error_leaves_next_command_unchanged(capsys):
     """main keeps one parser for the process: a command that fails inside
     parsing, then one that fails in the command, must leave the next

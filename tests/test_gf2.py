@@ -1,5 +1,6 @@
-"""The packed GF(2) path of Subspace, is_ideal and ideal_closure against
-references built on tuples with oracle_rref_rows and bracket only."""
+"""The packed kernel of Subspace, is_ideal and ideal_closure, over GF(2)
+(int masks) and odd p (residue tuples), against references built on tuples
+with oracle_rref_rows and bracket only."""
 
 import itertools
 
@@ -9,72 +10,80 @@ from hypothesis import given, settings, strategies as st
 from chieflie.algebra import bracket, is_ideal
 from chieflie.corpus import abelian, heisenberg, random_solvable, registry
 from chieflie.ideals import all_ideals, ideal_closure
-from chieflie.linalg import (Subspace, enumerate_subspaces, subspace_intersect,
-                             subspace_leq, subspace_sum, unit)
+from chieflie.linalg import (Subspace, _pack, enumerate_subspaces,
+                             subspace_intersect, subspace_leq, subspace_sum,
+                             unit)
 from chieflie.oracle import oracle_rref_rows
 
-GF2_CORPUS = [e.algebra for e in registry() if e.algebra.p == 2]
+PRIMES = (2, 3, 5, 7)
+# Largest ambient dimension drawn over each field: the odd-p kernel is the
+# same code at every n, and its members are enumerated up to p^n <= 729.
+MAX_N = {2: 8, 3: 5, 5: 4, 7: 4}
 
 
-def _rows(n, max_size=None):
-    row = st.tuples(*[st.integers(0, 1)] * n)
-    return st.lists(row, max_size=n + 2 if max_size is None else max_size)
+def _vectors(n, p):
+    return st.tuples(*[st.integers(0, p - 1)] * n)
 
 
-def _span(rows):
-    return oracle_rref_rows(rows, 2)
+def _rows(n, p=2, max_size=None):
+    return st.lists(_vectors(n, p), max_size=n + 2 if max_size is None else max_size)
 
 
-def _residual(basis, v):
+def _residual(basis, v, p):
     """v reduced modulo basis, a tuple RREF, pivot by pivot."""
     v = list(v)
     for row in basis:
         piv = next(j for j, x in enumerate(row) if x)
-        if v[piv]:
-            v = [(x + y) % 2 for x, y in zip(v, row)]
+        c = v[piv]
+        v = [(x - c * y) % p for x, y in zip(v, row)]
     return tuple(v)
 
 
-def _meet(n, u, v):
+def _meet(n, u, v, p):
     """Zassenhaus on tuples: rows [x|x] for x in u, [y|0] for y in v."""
     stacked = [x + x for x in u] + [y + (0,) * n for y in v]
-    return tuple(r[n:] for r in _span(stacked) if not any(r[:n]))
+    return tuple(r[n:] for r in oracle_rref_rows(stacked, p) if not any(r[:n]))
 
 
-def _members(n, rows):
+def _members(n, rows, p):
     out = {(0,) * n}
     for r in rows:
-        out |= {tuple((a + b) % 2 for a, b in zip(m, r)) for m in out}
+        out = {tuple((a + c * b) % p for a, b in zip(m, r))
+               for m in out for c in range(p)}
     return out
 
 
 # -- subspace lattice -------------------------------------------------------
 
 
-@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
 @given(st.data())
 def test_mask_lattice_matches_tuple_path(data):
-    n = data.draw(st.integers(1, 8))
-    ru, rv = data.draw(_rows(n)), data.draw(_rows(n))
-    v = data.draw(st.tuples(*[st.integers(0, 1)] * n))
-    u_ref, v_ref = _span(ru), _span(rv)
-    u, w = Subspace(n, 2, ru), Subspace(n, 2, rv)
+    p = data.draw(st.sampled_from(PRIMES))
+    n = data.draw(st.integers(1, MAX_N[p]))
+    ru, rv = data.draw(_rows(n, p)), data.draw(_rows(n, p))
+    v = data.draw(_vectors(n, p))
+    u_ref, v_ref = oracle_rref_rows(ru, p), oracle_rref_rows(rv, p)
+    u, w = Subspace(n, p, ru), Subspace(n, p, rv)
     assert u.rows == u_ref and u.pivots == tuple(
         next(j for j, x in enumerate(r) if x) for r in u_ref)
-    assert subspace_sum(u, w).rows == _span(ru + rv)
-    assert subspace_intersect(u, w).rows == _meet(n, u_ref, v_ref)
-    assert subspace_leq(u, w) == (len(_span(ru + rv)) == len(v_ref))
-    assert w.contains(v) == (len(_span(rv + [v])) == len(v_ref))
-    assert w.reduce(v) == _residual(v_ref, v)
-    if n <= 6:
-        mu, mw = _members(n, u_ref), _members(n, v_ref)
+    assert subspace_sum(u, w).rows == oracle_rref_rows(ru + rv, p)
+    assert subspace_intersect(u, w).rows == _meet(n, u_ref, v_ref, p)
+    assert subspace_intersect(u, w).pivots == tuple(
+        next(j for j, x in enumerate(r) if x) for r in _meet(n, u_ref, v_ref, p))
+    assert subspace_leq(u, w) == (
+        len(oracle_rref_rows(ru + rv, p)) == len(v_ref))
+    assert w.contains(v) == (len(oracle_rref_rows(rv + [v], p)) == len(v_ref))
+    assert w.reduce(v) == _residual(v_ref, v, p)
+    if p ** n <= 729:
+        mu, mw = _members(n, u_ref, p), _members(n, v_ref, p)
         assert set(subspace_sum(u, w).vectors()) == {
-            tuple((a + b) % 2 for a, b in zip(x, y)) for x in mu for y in mw}
+            tuple((a + b) % p for a, b in zip(x, y)) for x in mu for y in mw}
         assert set(subspace_intersect(u, w).vectors()) == mu & mw
         assert subspace_leq(u, w) == (mu <= mw)
         assert w.contains(v) == (v in mw)
         r = w.reduce(v)
-        assert tuple((a + b) % 2 for a, b in zip(v, r)) in mw
+        assert tuple((a - b) % p for a, b in zip(v, r)) in mw
 
 
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
@@ -128,60 +137,82 @@ def test_gf2_subspace_keeps_its_contract():
 def _ref_bracket_in(l, urows, vrows):
     """Whether [x, a] lies in span(urows) for x in vrows and a in urows."""
     d = len(urows)
-    return all(len(_span(list(urows) + [bracket(l, x, a)])) == d
+    return all(len(oracle_rref_rows(list(urows) + [bracket(l, x, a)], l.p)) == d
                for x in vrows for a in urows)
 
 
 def _ref_closure(l, rows):
     units = [unit(i, l.n) for i in range(l.n)]
-    cur, last = _span(rows), None
+    cur, last = oracle_rref_rows(rows, l.p), None
     while cur != last:
         last = cur
-        cur = _span(list(cur) + [bracket(l, x, y) for x in units for y in cur])
+        cur = oracle_rref_rows(
+            list(cur) + [bracket(l, x, y) for x in units for y in cur], l.p)
     return cur
 
 
 def _assert_ideal_paths(l, seed_rows, base):
     units = [unit(i, l.n) for i in range(l.n)]
-    seed_ref = _span(seed_rows)
-    seed = Subspace(l.n, 2, seed_rows)
+    seed_ref = oracle_rref_rows(seed_rows, l.p)
+    seed = Subspace(l.n, l.p, seed_rows)
     assert is_ideal(l, seed) == _ref_bracket_in(l, seed_ref, units)
     closed = _ref_closure(l, seed_rows)
     assert ideal_closure(l, seed).rows == closed
     assert ideal_closure(l, seed, base).rows == _ref_closure(
         l, list(seed_rows) + list(base.rows))
-    assert is_ideal(l, Subspace(l.n, 2, closed))
+    assert is_ideal(l, Subspace(l.n, l.p, closed))
 
 
-def _gf2_algebra(data):
-    if data.draw(st.booleans()):
-        return data.draw(st.sampled_from(GF2_CORPUS))
-    return random_solvable(data.draw(st.integers(2, 6)), 2,
+def _algebra(data):
+    p = data.draw(st.sampled_from(PRIMES))
+    corpus = [e.algebra for e in registry() if e.algebra.p == p]
+    if corpus and data.draw(st.booleans()):
+        return data.draw(st.sampled_from(corpus))
+    return random_solvable(data.draw(st.integers(2, 6 if p == 2 else 4)), p,
                            data.draw(st.integers(0, 10_000)))
 
 
-@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
 @given(st.data())
 def test_ideal_masks_match_tuple_brackets(data):
-    l = _gf2_algebra(data)
-    seed_rows = data.draw(_rows(l.n, max_size=3))
+    l = _algebra(data)
+    seed_rows = data.draw(_rows(l.n, l.p, max_size=3))
     base = data.draw(st.sampled_from(all_ideals(l)))
     _assert_ideal_paths(l, seed_rows, base)
     assert all(is_ideal(l, i) for i in all_ideals(l))
 
 
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_ad_maps_images_are_brackets(data):
+    """ad_maps.images(v) is the n packed brackets [e_i, v], for every p."""
+    l = _algebra(data)
+    v = data.draw(_vectors(l.n, l.p))
+    assert l.ad_maps.images(_pack(v, l.p)) == [
+        _pack(bracket(l, unit(i, l.n), v), l.p) for i in range(l.n)]
+
+
+def _flipped(column, k, p):
+    """column with entry k of its n * n images moved by one: over GF(2)
+    bit k, over odd p the k-th residue."""
+    if p == 2:
+        return column ^ 1 << k
+    return column[:k] + ((column[k] + 1) % p,) + column[k + 1:]
+
+
 def _flips_caught(l, flips):
     """Whether the ideal property fails, on some seed subspace, for each
-    (b, bit) flip of the cached bracket table; the table is restored."""
-    seeds = [s.rows for s in enumerate_subspaces(l.n, 2)]
+    (column, entry) flip of the cached bracket table; the table is
+    restored."""
+    seeds = [s.rows for s in enumerate_subspaces(l.n, l.p)]
     for s in seeds:
         _assert_ideal_paths(l, s, l.zero_space)
     maps = l.ad_maps
     table = maps.columns
     try:
-        for b, bit in flips:
+        for b, k in flips:
             flipped = list(table)
-            flipped[b] ^= 1 << bit
+            flipped[b] = _flipped(table[b], k, l.p)
             maps.columns = tuple(flipped)
             with pytest.raises(AssertionError):
                 for s in seeds:
@@ -191,10 +222,14 @@ def _flips_caught(l, flips):
 
 
 def test_bracket_table_flip_is_caught():
-    """Over abelian(3, 2) every one of the 27 single-bit flips of the
-    cached bracket table makes the ideal property fail, and so does
-    clearing [x, y] = z in heisenberg(2).  (Some flips keep an algebra's
-    ideal lattice and escape it: 5 of heisenberg(2)'s 27.)"""
+    """Over abelian(3, 2) and abelian(3, 3) every one of the 27 single-entry
+    flips of the cached bracket table makes the ideal property fail, and so
+    does clearing [x, y] = z in heisenberg(2) and making it x + z in
+    heisenberg(3).  (Some flips keep an algebra's ideal lattice and escape
+    it: 5 of heisenberg(2)'s 27.)"""
     _flips_caught(abelian(3, 2), itertools.product(range(3), range(9)))
+    _flips_caught(abelian(3, 3), itertools.product(range(3), range(9)))
     # Entry 1 is y = x_1: [x_0, y] = z fills its bits 8..6, z at bit 6.
     _flips_caught(heisenberg(2), [(1, 6)])
+    # Over odd p, column 1 is y's: [x_0, y] = z fills its entries 0..2.
+    _flips_caught(heisenberg(3), [(1, 0)])

@@ -33,6 +33,16 @@ def test_rref_known_forms():
     assert rref_rows([(0, 0), (0, 0)], 3) == ()
 
 
+def test_rref_rejects_rows_of_unequal_length():
+    for p in (2, 3):
+        with pytest.raises(ValueError, match="unequal lengths"):
+            rref_rows([(1, 0), (1, 1, 1)], p)
+        with pytest.raises(ValueError, match="unequal lengths"):
+            rref_rows([(1, 1, 1), (1, 0)], p)
+        with pytest.raises(ValueError, match="unequal lengths"):
+            solve_linear([(1, 0), (0, 1, 1)], (1, 1), p)
+
+
 def test_rref_idempotent_and_mix_invariant():
     rng = random.Random(7)
     for p in (2, 3, 5):
