@@ -56,8 +56,12 @@ class LieAlgebra:
     def from_brackets(cls, n: int, p: int, brackets: dict, labels=None) -> "LieAlgebra":
         """Build from {(i, j): vector} for i < j (0-based); the (j, i) entries
         are filled by antisymmetry, everything else is zero.  p must be a
-        supported prime and every vector must have length n (ValueError)."""
+        supported prime, every vector must have length n, and labels, if
+        given, must name n basis vectors (ValueError)."""
         prime_field(p)
+        labels = tuple(labels) if labels else None
+        if labels is not None and len(labels) != n:
+            raise ValueError(f"{len(labels)} labels for dimension {n}")
         sc = [[[0] * n for _ in range(n)] for _ in range(n)]
         for (i, j), vec in brackets.items():
             if not (0 <= i < n and 0 <= j < n) or i == j:
@@ -69,7 +73,7 @@ class LieAlgebra:
                 sc[i][j][k] = c % p
                 sc[j][i][k] = -c % p
         tensor = tuple(tuple(tuple(row) for row in plane) for plane in sc)
-        alg = cls(n, p, tensor, tuple(labels) if labels else None)
+        alg = cls(n, p, tensor, labels)
         check_valid(alg)
         return alg
 
@@ -353,8 +357,5 @@ def derivation_space(l: LieAlgebra) -> list[Matrix]:
         rows = [tuple([0] * (n * n))]
         rhs = [0]
     _, kernel = solve_linear(rows, tuple(rhs), p)
-    out = []
-    for flat in kernel.rows:
-        mat = tuple(tuple(flat[r * n + c] for c in range(n)) for r in range(n))
-        out.append(Matrix(p, mat))
-    return out
+    return [Matrix(p, tuple(tuple(flat[r * n + c] for c in range(n))
+                            for r in range(n))) for flat in kernel.rows]

@@ -186,14 +186,8 @@ def make_crossing(f: ChiefFactor, g: ChiefFactor) -> MCrossing:
 @lru_cache(maxsize=None)
 def crossing_catalog(l: LieAlgebra) -> tuple[MCrossing, ...]:
     catalog = chief_factor_catalog(l)
-    out = []
-    for f in catalog:
-        if not f.frattini:
-            continue
-        for g in catalog:
-            if g.supplemented and descends_to(f, g):
-                out.append(make_crossing(f, g))
-    return tuple(out)
+    return tuple(make_crossing(f, g) for f in catalog if f.frattini
+                 for g in catalog if g.supplemented and descends_to(f, g))
 
 
 def m_crossing_swap(x: MCrossing) -> MCrossing:
@@ -471,52 +465,26 @@ def descent_transfer_checks(f: ChiefFactor, g: ChiefFactor,
     comp_f = [m for m in pool if complements_relaxed(l, a_, b_, m)]
     comp_bd = [m for m in pool if complements_relaxed(l, b_, d_, m)]
     clauses = []
+    for kind, rel, mine, below in (("supplement", supplements_relaxed, sup_f, sup_bd),
+                                   ("complement", complements_relaxed, comp_f, comp_bd)):
+        bad = tuple(m for m in mine if not rel(l, c_, d_, m))
+        clauses.append(ClauseResult(f"{kind}_descends", True, not bad, bad))
+        bad = tuple((m, k) for m in mine for k in below
+                    if not rel(l, a_, c_, subspace_sum(c_, mk := subspace_intersect(m, k)))
+                    or not rel(l, a_, d_, mk))
+        clauses.append(ClauseResult(f"{kind}_pairs_join", True, not bad, bad))
 
-    bad = tuple(m for m in sup_f if not supplements_relaxed(l, c_, d_, m))
-    clauses.append(ClauseResult("supplement_descends", True, not bad, bad))
-
-    bad = []
-    for m in sup_f:
-        for k in sup_bd:
-            mk = subspace_intersect(m, k)
-            if not supplements_relaxed(l, a_, c_, subspace_sum(c_, mk)) \
-                    or not supplements_relaxed(l, a_, d_, mk):
-                bad.append((m, k))
-    clauses.append(ClauseResult("supplement_pairs_join", True,
-                                not bad, tuple(bad)))
-
-    bad = tuple(m for m in comp_f if not complements_relaxed(l, c_, d_, m))
-    clauses.append(ClauseResult("complement_descends", True, not bad, bad))
-
-    bad = []
-    for m in comp_f:
-        for k in comp_bd:
-            mk = subspace_intersect(m, k)
-            if not complements_relaxed(l, a_, c_, subspace_sum(c_, mk)) \
-                    or not complements_relaxed(l, a_, d_, mk):
-                bad.append((m, k))
-    clauses.append(ClauseResult("complement_pairs_join", True,
-                                not bad, tuple(bad)))
-
+    mono = ClauseResult("monolithic_sets_match", False, True)
+    bottom = ClauseResult("abelian_bottom_complement_sets_match", False, True)
     if not g.abelian:
         mono_f = monolithic_supplements(l, a_, b_)
         mono_g = monolithic_supplements(l, c_, d_)
-        eq = ({r.subalgebra for r in mono_f.records}
-              == {r.subalgebra for r in mono_g.records})
-        clauses.append(ClauseResult("monolithic_sets_match", True, eq))
+        mono = ClauseResult(mono.name, True, {r.subalgebra for r in mono_f.records}
+                            == {r.subalgebra for r in mono_g.records})
         if is_chief_pair(l, b_, d_) and get_factor(l, b_, d_).abelian:
             comp_ac = {m for m in pool if complements_relaxed(l, a_, c_, m)}
-            eq = set(comp_bd) == comp_ac
-            clauses.append(ClauseResult(
-                "abelian_bottom_complement_sets_match", True, eq))
-        else:
-            clauses.append(ClauseResult(
-                "abelian_bottom_complement_sets_match", False, True))
-    else:
-        clauses.append(ClauseResult("monolithic_sets_match", False, True))
-        clauses.append(ClauseResult(
-            "abelian_bottom_complement_sets_match", False, True))
-    return TransferCheckReport(tuple(clauses))
+            bottom = ClauseResult(bottom.name, True, set(comp_bd) == comp_ac)
+    return TransferCheckReport(tuple(clauses) + (mono, bottom))
 
 
 # -- joining two supplements ------------------------------------------------

@@ -2,8 +2,9 @@
 
 Everything downstream works with plain ints in [0, p) as field elements;
 :class:`PrimeField` bundles the modulus with an inverse table so the hot
-linear-algebra loops never call pow().  :class:`Fp` is a thin wrapper type
-for code that wants operator syntax.
+linear-algebra loops never call pow(), and with the lane constants of
+linalg's packed vectors.  :class:`Fp` is a thin wrapper type for code that
+wants operator syntax.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 SUPPORTED_PRIMES = (2, 3, 5, 7, 11, 13)
+# Lane counts whose masks a PrimeField builds up front (see lanes()).
+LANE_TABLE = 32
 
 
 class FieldMismatchError(ValueError):
@@ -27,7 +30,7 @@ def prime_field(p: int) -> "PrimeField":
 class PrimeField:
     """GF(p) with elements represented canonically as residues in [0, p)."""
 
-    __slots__ = ("p", "inv_table")
+    __slots__ = ("p", "inv_table", "w", "steps", "_masks")
 
     def __init__(self, p: int):
         if p not in SUPPORTED_PRIMES:
@@ -35,6 +38,23 @@ class PrimeField:
         self.p = p
         # inv_table[0] is a dummy; inv(0) raises instead.
         self.inv_table = (0,) + tuple(pow(a, p - 2, p) for a in range(1, p))
+        # Packed vectors (linalg) give each coordinate a w-bit lane.  A lane
+        # x + c*y of residues is below p(p-1); subtracting q = p*2^t, ..., 2p,
+        # p where x >= q reduces it, and x + 2^(w-1) - q has its top bit set
+        # exactly then, without a carry.  GF(2) lanes are one bit.
+        qs = [p << t for t in range((p - 1).bit_length() - 1, -1, -1)] if p > 2 else []
+        self.w = qs[0].bit_length() + 1 if qs else 1
+        self.steps = tuple((q, (1 << self.w - 1) - q) for q in qs)
+        self._masks = ()
+        self._masks = tuple(map(self.lanes, range(LANE_TABLE + 1)))
+
+    def lanes(self, count: int) -> tuple:
+        """(H, ((q, K), ...)) over count lanes: H holds every lane's top bit
+        and K each step's 2^(w-1) - q in every lane."""
+        if count < len(self._masks):
+            return self._masks[count]
+        ones = ((1 << self.w * count) - 1) // ((1 << self.w) - 1)
+        return ones << self.w - 1, tuple((q, k * ones) for q, k in self.steps)
 
     def add(self, a: int, b: int) -> int:
         return (a + b) % self.p

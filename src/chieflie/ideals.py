@@ -9,7 +9,7 @@ factors constantly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from .algebra import (LieAlgebra, ad_matrix, bracket, is_ideal,
                       subspace_product)
@@ -117,10 +117,7 @@ def minimal_ideals(l: LieAlgebra) -> tuple[Subspace, ...]:
 
 
 def socle(l: LieAlgebra) -> Subspace:
-    acc = l.zero_space
-    for m in minimal_ideals(l):
-        acc = subspace_sum(acc, m)
-    return acc
+    return reduce(subspace_sum, minimal_ideals(l), l.zero_space)
 
 
 def derived_series(l: LieAlgebra) -> list[Subspace]:
@@ -174,8 +171,7 @@ def all_ideals(l: LieAlgebra) -> tuple[Subspace, ...]:
             if nxt not in seen:
                 seen.add(nxt)
                 queue.append(nxt)
-    out = sorted(seen, key=lambda s: s.key())
-    return tuple(out)
+    return tuple(sorted(seen, key=lambda s: s.key()))
 
 
 # ---------------------------------------------------------------------------

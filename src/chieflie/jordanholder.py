@@ -404,11 +404,9 @@ def matching_permutations(first: ChiefSeries,
           for i in range(n)]
     related = {(i, j): m_related(fx[i], fy[j]) is not None
                for i in range(n) for j in range(n)}
-    out = []
-    for perm in itertools.permutations(range(n)):
-        if all(related[(i, perm[i])] for i in range(n)):
-            out.append(tuple(j + 1 for j in perm))
-    return tuple(out)
+    return tuple(tuple(j + 1 for j in perm)
+                 for perm in itertools.permutations(range(n))
+                 if all(related[(i, perm[i])] for i in range(n)))
 
 
 # -- cutting to a supplement and pasting back -------------------------------
@@ -447,10 +445,8 @@ def cut_and_paste(l: LieAlgebra, b: Subspace, u: Subspace) -> CutPaste:
     k = quotient.algebra.n
     require(sub_quotient.algebra.n == k,
             "the two quotients must have equal dimension")
-    cols = []
-    for s in range(k):
-        e = unit(s, k)
-        cols.append(quotient.project(inside.to_parent(sub_quotient.lift(e))))
+    cols = [quotient.project(inside.to_parent(sub_quotient.lift(unit(s, k))))
+            for s in range(k)]
     theta_rows = tuple(tuple(cols[c][r] for c in range(k)) for r in range(k))
     require(len(rref_rows(theta_rows, l.p)) == k,
             "natural map between the quotients must be bijective")

@@ -1,6 +1,8 @@
 """Exact linear algebra over GF(p): canonical subspaces and solvers.
 
-Vectors are tuples of ints in [0, p).  The Subspace constructor owns
+Vectors are tuples of ints in [0, p); inside a Subspace they are packed into
+one int each, a fixed-width lane per coordinate (see the packed kernel
+below).  The Subspace constructor owns
 canonical form: it reduces whatever spanning rows it is given to reduced row
 echelon form, so no non-canonical Subspace can be built, structural equality
 and hashing are subspace equality, and (dim, rows) is a total deterministic
@@ -52,35 +54,35 @@ def rref_rows(rows, p: int) -> Rows:
     n = len(rows[0]) if rows else 0
     if any(len(r) != n for r in rows):
         raise ValueError(f"rows of unequal lengths {sorted({len(r) for r in rows})}")
-    basis = _span(p, [_pack(r, p) for r in rows])
+    basis = _span(p, n, [_pack(r, p) for r in rows])
     return tuple([_unpack(m, n, p) for m in sorted(basis, reverse=True)])
 
 
 # -- the packed kernel ------------------------------------------------------
 #
-# Every subspace algorithm below runs on packed vectors through one
-# elimination pair, chosen once per operation by _pair(p): an int mask over
-# GF(2) and a tuple of residues over odd p.  A basis kept by the pair's add
-# is fully reduced (leading entry 1, that column clear in every other row),
-# so sorted in descending order it is the RREF, for ints and tuples alike.
+# A packed vector of GF(p)^n is one int with a w-bit lane per coordinate
+# (w = prime_field(p).w, 1 over GF(2)), column 0 in the top lane.  Lanes
+# hold residues in [0, p), so integer order is lexicographic row order and
+# a vector's pivot is its top nonzero lane.  Every subspace algorithm below
+# runs through one elimination pair, _pair(p, lanes): XOR over GF(2), and
+# over odd p a lane add of a multiple, x + (p - c) * row, then _folder's
+# branch-free reduction x - q*(((x + K) & H) >> (w - 1)).  A basis kept by
+# add is fully reduced, so sorted in descending order it is the RREF.
 
 
-def _pack(v: Vector, p: int):
-    """v as a packed vector: over GF(2) an int, column 0 the top bit; over
-    odd p a tuple of residues."""
-    if p != 2:
-        return tuple([x % p for x in v])
-    m = 0
+def _pack(v: Vector, p: int) -> int:
+    """v as a packed vector."""
+    w, m = prime_field(p).w, 0
     for x in v:
-        m = (m << 1) | (x & 1)
+        m = (m << w) | (x % p)
     return m
 
 
-def _unpack(m, n: int, p: int) -> Vector:
-    """The vector of a packed one; a false residue is the zero vector."""
-    if p != 2:
-        return m or (0,) * n
-    return tuple([m >> s & 1 for s in range(n - 1, -1, -1)])
+def _unpack(m: int, n: int, p: int) -> Vector:
+    """The vector of GF(p)^n packed as m."""
+    w = prime_field(p).w
+    low = (1 << w) - 1
+    return tuple([m >> s & low for s in range(w * (n - 1), -1, -w)])
 
 
 def _gf2_residue(basis, mask: int) -> int:
@@ -106,45 +108,59 @@ def _gf2_add(basis: list[int], mask: int) -> int:
     return mask
 
 
-def _pair(p: int):
-    """(residue, add) on packed vectors of GF(p)^n.  residue(basis, v) is v
-    reduced modulo a basis kept by add, or a false value if v lies in its
-    span; add(basis, v) appends that residue, normalised and cleared out of
-    the other rows, and returns it.  Over odd p a row's pivot is
-    row.index(1), its leading entry."""
+def _folder(w: int, masks):
+    """x -> x mod p in every w-bit lane below p(p-1), masks from
+    PrimeField.lanes: each step subtracts q where a lane is >= q."""
+    h, steps = masks
+
+    def fold(x: int) -> int:
+        for q, k in steps:
+            x -= q * (((x + k) & h) >> w - 1)
+        return x
+
+    return fold
+
+
+def _pair(p: int, lanes: int):
+    """(residue, add) on packed vectors of GF(p)^lanes.  residue(basis, v)
+    is v reduced modulo a basis kept by add, 0 if v lies in its span;
+    add(basis, v) appends that residue, normalised and cleared out of the
+    other rows, and returns it."""
     if p == 2:
         return _gf2_residue, _gf2_add
-    inv = prime_field(p).inv_table
+    field = prime_field(p)
+    w, inv = field.w, field.inv_table
+    fold = _folder(w, field.lanes(lanes))
+    low = (1 << w) - 1
 
     def residue(basis, v):
         for row in basis:
-            c = v[row.index(1)]
+            c = v >> (row.bit_length() - 1) // w * w & low
             if c:
-                v = [(x - c * y) % p for x, y in zip(v, row)]
-        return tuple(v) if any(v) else ()
+                v = fold(v + (p - c) * row)
+        return v
 
     def add(basis, v):
         v = residue(basis, v)
         if v:
-            for piv, head in enumerate(v):
-                if head:
-                    break
+            s = (v.bit_length() - 1) // w * w
+            head = v >> s
             if head != 1:
-                head = inv[head]
-                v = tuple([head * x % p for x in v])
+                v = fold(inv[head] * v)
             for i, row in enumerate(basis):
-                c = row[piv]
+                c = row >> s & low
                 if c:
-                    basis[i] = tuple([(x - c * y) % p for x, y in zip(row, v)])
+                    basis[i] = fold(row + (p - c) * v)
             basis.append(v)
         return v
 
     return residue, add
 
 
-def _span(p: int, vectors, basis=()) -> list:
-    """A basis kept by _pair(p)'s add of the span of vectors and basis."""
-    add = _pair(p)[1]
+def _span(p: int, lanes: int, vectors, basis=()) -> list:
+    """A basis kept by _pair(p, lanes)'s add of the span of vectors and
+    basis."""
+    add = _pair(p, lanes)[1]
     basis = list(basis)
     for v in vectors:
         add(basis, v)
@@ -186,14 +202,13 @@ class Subspace:
             if len(r) != n:
                 raise ValueError(f"vector of length {len(r)} in ambient dimension {n}")
         rows = rref_rows(rows, p)
-        # Odd-p rows are residue tuples already: they are their own packing.
-        basis = tuple([_pack(r, p) for r in rows]) if p == 2 else rows
-        self.__dict__.update(n=n, p=p, rows=rows, _basis=basis,
-                             pivots=tuple([r.index(1) for r in rows]))
+        self.__dict__.update(n=n, p=p, rows=rows,
+                             _basis=tuple([_pack(r, p) for r in rows]))
 
     @classmethod
     def _of(cls, n: int, p: int, basis: list) -> "Subspace":
-        """The subspace spanned by basis, a list kept by _pair(p)'s add."""
+        """The subspace spanned by basis, a list kept by _pair(p, n)'s
+        add."""
         s = object.__new__(cls)
         s.__dict__.update(n=n, p=p, _basis=tuple(sorted(basis, reverse=True)))
         return s
@@ -204,7 +219,8 @@ class Subspace:
 
     @cached_property
     def pivots(self) -> tuple[int, ...]:
-        return tuple([r.index(1) for r in self.rows])
+        n, w = self.n, prime_field(self.p).w
+        return tuple([n - 1 - (m.bit_length() - 1) // w for m in self._basis])
 
     def __eq__(self, other):
         if other.__class__ is not Subspace:
@@ -239,15 +255,15 @@ class Subspace:
 
     def reduce(self, v: Vector) -> Vector:
         """Residual of v after reduction modulo this subspace."""
-        p, residue = self.p, _pair(self.p)[0]
-        return _unpack(residue(self._basis, _pack(v, p)), self.n, p)
+        n, p = self.n, self.p
+        return _unpack(_pair(p, n)[0](self._basis, _pack(v, p)), n, p)
 
     def contains(self, v: Vector) -> bool:
-        return not _pair(self.p)[0](self._basis, _pack(v, self.p))
+        return not _pair(self.p, self.n)[0](self._basis, _pack(v, self.p))
 
     def invariant_under(self, maps: "PackedMaps") -> bool:
         """Whether every map of maps sends this subspace into itself."""
-        residue = _pair(self.p)[0]
+        residue = _pair(self.p, self.n)[0]
         return not any(residue(self._basis, w)
                        for a in self._basis for w in maps.images(a))
 
@@ -287,60 +303,59 @@ def _check_ambient(u: Subspace, v: Subspace) -> None:
 
 def subspace_sum(u: Subspace, v: Subspace) -> Subspace:
     _check_ambient(u, v)
-    basis = _span(u.p, v._basis, u._basis)
+    basis = _span(u.p, u.n, v._basis, u._basis)
     return u if len(basis) == u.dim else Subspace._of(u.n, u.p, basis)
 
 
 def subspace_intersect(u: Subspace, v: Subspace) -> Subspace:
     """Zassenhaus: rows [x|x] for x in U and [y|0] for y in V; the reduced
     rows with zero left half carry a basis of the intersection in the right
-    half.  Over GF(2) the rows are packed 2n-bit ints, the left half on top."""
+    half.  The rows are packed vectors of 2n lanes, the left half on top."""
     _check_ambient(u, v)
     n, p = u.n, u.p
-    if p == 2:
-        basis = _span(p, [(x << n) | x for x in u._basis] +
-                      [y << n for y in v._basis])
-        return Subspace._of(n, p, [m for m in basis if not m >> n])
-    zero = (0,) * n
-    basis = _span(p, [x + x for x in u._basis] + [y + zero for y in v._basis])
-    return Subspace._of(n, p, [r[n:] for r in basis if r.index(1) >= n])
+    s = n * prime_field(p).w
+    basis = _span(p, 2 * n, [(x << s) | x for x in u._basis] +
+                  [y << s for y in v._basis])
+    return Subspace._of(n, p, [m for m in basis if not m >> s])
 
 
 def subspace_leq(u: Subspace, v: Subspace) -> bool:
     _check_ambient(u, v)
-    residue = _pair(u.p)[0]
+    residue = _pair(u.p, u.n)[0]
     return not any(residue(v._basis, m) for m in u._basis)
 
 
 class PackedMaps:
     """Linear maps f_0, ..., f_{n-1} of GF(p)^n on packed vectors, given by
-    maps[i][j] = f_i(e_j): the column of e_j packs its n images end to end,
-    so images(v) costs one XOR (GF(2)) or one scaled add (odd p) per nonzero
-    coordinate of v.  Over GF(2) columns[b] is the column of the unit vector
-    at bit b, e_{n-1-b}; over odd p columns[j] is that of e_j."""
+    maps[i][j] = f_i(e_j): the column of e_j packs its n images end to end
+    in n * n lanes, so images(v) costs one XOR (GF(2)) or one scaled lane
+    add (odd p) per nonzero coordinate of v.  columns[b] is the column of
+    the unit vector at lane b, e_{n-1-b}."""
 
     def __init__(self, maps, p: int):
         self.n = n = len(maps)
         self.p = p
-        columns = [_pack([x for f in maps for x in f[j]], p) for j in range(n)]
-        self.columns = tuple(columns[::-1] if p == 2 else columns)
+        self.columns = tuple([_pack([x for f in maps for x in f[j]], p)
+                              for j in range(n - 1, -1, -1)])
+        self._masks = prime_field(p).lanes(n * n)
 
-    def images(self, v) -> list:
+    def images(self, v: int) -> list[int]:
         """The packed f_0(v), ..., f_{n-1}(v) of a packed v."""
         n, p = self.n, self.p
+        w = prime_field(p).w
+        acc, low = 0, (1 << w) - 1
         if p == 2:
-            acc = 0
             for b, col in enumerate(self.columns):
                 if v >> b & 1:
                     acc ^= col
-            low = (1 << n) - 1
-            return [acc >> s & low for s in range(n * (n - 1), -1, -n)]
-        acc = [0] * (n * n)
-        for c, col in zip(v, self.columns):
-            if c:
-                acc = [a + c * x for a, x in zip(acc, col)]
-        acc = [a % p for a in acc]
-        return [tuple(acc[s:s + n]) for s in range(0, n * n, n)]
+        else:
+            fold = _folder(w, self._masks)
+            for b, col in enumerate(self.columns):
+                c = v >> b * w & low
+                if c:
+                    acc = fold(acc + c * col)
+        s, block = n * w, (1 << n * w) - 1
+        return [acc >> k & block for k in range(s * (n - 1), -1, -s)]
 
 
 def spin(seed: Subspace, maps: PackedMaps,
@@ -349,7 +364,7 @@ def spin(seed: Subspace, maps: PackedMaps,
     itself.  base must already be invariant (unchecked), so only the rows
     new to the span are mapped."""
     n, p = seed.n, seed.p
-    add = _pair(p)[1]
+    add = _pair(p, n)[1]
     basis = [] if base is None else list(base._basis)
     todo, fresh = list(seed._basis), []
     while len(basis) < n and (todo or fresh):
@@ -583,9 +598,5 @@ class Matrix:
 @lru_cache(maxsize=None)
 def nonzero_directions(k: int, p: int) -> tuple[Vector, ...]:
     """One representative per line of GF(p)^k: first nonzero coordinate 1."""
-    out = []
-    for v in itertools.product(range(p), repeat=k):
-        lead = next((x for x in v if x), None)
-        if lead == 1:
-            out.append(v)
-    return tuple(out)
+    return tuple(v for v in itertools.product(range(p), repeat=k)
+                 if next((x for x in v if x), None) == 1)

@@ -30,11 +30,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import IntEnum
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache, partial, reduce
 
-from .algebra import (LieAlgebra, bracket, is_subalgebra, preserves_brackets,
-                      quotient_algebra, restrict_algebra, ad_matrix,
-                      subspace_product)
+from .algebra import (LieAlgebra, bracket, is_ideal, is_subalgebra,
+                      preserves_brackets, quotient_algebra, restrict_algebra,
+                      ad_matrix, subspace_product)
 from .errors import VerificationError, require
 from .ideals import (core, centralizer, is_chief_pair, minimal_ideals,
                      subalgebra_closure)
@@ -76,11 +76,7 @@ def enumerated_maximal_subalgebras(l: LieAlgebra,
 
 
 def _hyperplanes(n: int, p: int) -> list[Subspace]:
-    out = []
-    for functional in nonzero_directions(n, p):
-        _, kernel = solve_linear([functional], (0,), p)
-        out.append(kernel)
-    return out
+    return [solve_linear([f], (0,), p)[1] for f in nonzero_directions(n, p)]
 
 
 def _complement_subalgebras(l: LieAlgebra, a: Subspace) -> list[Subspace]:
@@ -243,14 +239,10 @@ def _graph_maximals(l: LieAlgebra, a: Subspace, b: Subspace) -> list[Subspace]:
         return []
     ra = restrict_algebra(l, a)
     rb = restrict_algebra(l, b)
-    out = []
-    for theta in algebra_isomorphisms(ra.algebra, rb.algebra):
-        rows = []
-        for s in range(a.dim):
-            es = unit(s, a.dim)
-            rows.append(vec_add(ra.to_parent(es), rb.to_parent(theta.apply(es)), l.p))
-        out.append(Subspace.span(l.n, l.p, rows))
-    return out
+    units = [unit(s, a.dim) for s in range(a.dim)]
+    return [Subspace.span(l.n, l.p, [vec_add(ra.to_parent(e), rb.to_parent(theta.apply(e)), l.p)
+                                     for e in units])
+            for theta in algebra_isomorphisms(ra.algebra, rb.algebra)]
 
 
 # -- the main enumeration ---------------------------------------------------
@@ -299,12 +291,7 @@ def _refuse(l: LieAlgebra, count: int):
 def frattini(l: LieAlgebra) -> Subspace:
     """Intersection of all maximal subalgebras."""
     maxes = maximal_subalgebras(l)
-    if not maxes:
-        return l.full
-    acc = maxes[0]
-    for m in maxes[1:]:
-        acc = subspace_intersect(acc, m)
-    return acc
+    return reduce(subspace_intersect, maxes) if maxes else l.full
 
 
 def is_frattini_factor(l: LieAlgebra, a: Subspace, b: Subspace) -> bool:
@@ -319,23 +306,29 @@ def is_frattini_factor(l: LieAlgebra, a: Subspace, b: Subspace) -> bool:
 
 
 def supplements_of(l: LieAlgebra, a: Subspace, b: Subspace) -> tuple[Subspace, ...]:
-    """Maximal subalgebras M with L = A + M and B <= M."""
+    """Maximal subalgebras M with L = A + M and B <= M, for an ideal A.
+
+    A + M is then a subalgebra containing M, so it is L exactly when A is
+    not inside M: containment tests, no sum."""
     if not subspace_leq(b, a):
         raise ValueError("supplements_of requires b <= a")
-    full = l.full
+    if not is_ideal(l, a):
+        raise ValueError("supplements_of requires an ideal a")
     return tuple(m for m in maximal_subalgebras(l)
-                 if subspace_sum(a, m) == full and subspace_leq(b, m))
+                 if subspace_leq(b, m) and not subspace_leq(a, m))
 
 
 def complements_of(l: LieAlgebra, a: Subspace, b: Subspace) -> tuple[Subspace, ...]:
-    """Maximal subalgebras M with L = A + M and A n M = B."""
+    """Maximal subalgebras M with L = A + M and A n M = B, for an ideal A."""
     return complements_among(a, b, supplements_of(l, a, b))
 
 
 def complements_among(a: Subspace, b: Subspace,
                       supplements) -> tuple[Subspace, ...]:
-    """The supplements M of A/B that are complements: A n M = B."""
-    return tuple(m for m in supplements if subspace_intersect(a, m) == b)
+    """The supplements M of A/B that are complements: A n M = B.  B <= A n M
+    and dim(A n M) = dim A + dim M - n when A + M is the whole space, so
+    the dimensions decide: no meet."""
+    return tuple(m for m in supplements if a.dim + m.dim - m.n == b.dim)
 
 
 # -- primitivity ------------------------------------------------------------

@@ -4,7 +4,9 @@ algorithms on small inputs.
 Everything here enumerates subspaces or vectors outright and tests the
 defining property directly, sharing no logic with the production code paths
 beyond the bracket itself; oracle_rref_rows is the plain elimination that
-the packed kernel of rref_rows must match over every field.  Budget limits
+the packed kernel of rref_rows must match over every field, and
+oracle_supplements and oracle_complements are the sum and meet tests that
+supplements_of and complements_among replace.  Budget limits
 of the subspace enumerator apply, so these are only usable for small n and
 p.
 """
@@ -15,7 +17,8 @@ from itertools import product
 
 from .algebra import LieAlgebra, bracket
 from .field import prime_field
-from .linalg import Rows, Subspace, enumerate_subspaces, subspace_leq
+from .linalg import (Rows, Subspace, enumerate_subspaces, subspace_intersect,
+                     subspace_leq, subspace_sum)
 
 
 def oracle_rref_rows(rows, p: int) -> Rows:
@@ -124,14 +127,26 @@ def oracle_is_chief(l: LieAlgebra, a: Subspace, b: Subspace,
                    and subspace_leq(c, a) for c in ideals)
 
 
+def oracle_supplements(l: LieAlgebra, a: Subspace, b: Subspace,
+                       pool) -> tuple[Subspace, ...]:
+    """The M in pool with A + M = L and B <= M, by building the sum."""
+    return tuple(m for m in pool
+                 if subspace_sum(a, m) == l.full and subspace_leq(b, m))
+
+
+def oracle_complements(l: LieAlgebra, a: Subspace, b: Subspace,
+                       pool) -> tuple[Subspace, ...]:
+    """The supplements M in pool with A n M = B, by building the meet."""
+    return tuple(m for m in oracle_supplements(l, a, b, pool)
+                 if subspace_intersect(a, m) == b)
+
+
 def oracle_centralizer(l: LieAlgebra, a: Subspace, b: Subspace,
                        cap: int = 120_000) -> Subspace:
     """Span of every vector x with [x, a] <= b, found by scanning GF(p)^n."""
-    hits = []
-    for x in product(range(l.p), repeat=l.n):
-        if all(not any(b.reduce(bracket(l, x, y))) for y in a.rows):
-            hits.append(x)
-    return Subspace(l.n, l.p, hits)
+    return Subspace(l.n, l.p, [x for x in product(range(l.p), repeat=l.n)
+                               if all(not any(b.reduce(bracket(l, x, y)))
+                                      for y in a.rows)])
 
 
 def oracle_chief_series_count(l: LieAlgebra, cap: int = 120_000) -> int:

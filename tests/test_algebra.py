@@ -9,6 +9,7 @@ from chieflie.algebra import (LieAlgebra, ValidationError, ad_matrix, bracket,
                               quotient_algebra, restrict_algebra, semidirect,
                               subspace_product, validate)
 from chieflie.corpus import abelian, heisenberg, nonabelian2, r4, sl2, sl2sum
+from chieflie.fileio import format_algebra, parse_algebra
 from chieflie.linalg import Matrix, Subspace, rref_rows, vec_add
 
 
@@ -76,6 +77,16 @@ def test_from_brackets_rejects_bad_lengths_and_fields():
             LieAlgebra.from_brackets(3, p, {(0, 1): (0, 0, 1)})
         with pytest.raises(ValueError, match=f"unsupported prime {p}"):
             LieAlgebra.from_brackets(2, p, {})
+
+
+def test_from_brackets_rejects_labels_of_the_wrong_length():
+    """An algebra with the wrong number of labels would format to a file
+    that parse_algebra refuses; from_brackets refuses it instead."""
+    for labels in (("a",), ("a", "b", "c", "d")):
+        with pytest.raises(ValueError, match=f"{len(labels)} labels for dimension 3"):
+            LieAlgebra.from_brackets(3, 2, {(0, 1): (0, 0, 1)}, labels)
+    l = LieAlgebra.from_brackets(3, 2, {(0, 1): (0, 0, 1)}, ("a", "b", "c"))
+    assert parse_algebra(format_algebra(l)).labels == ("a", "b", "c")
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 """The packed kernel of Subspace, is_ideal and ideal_closure, over GF(2)
-(int masks) and odd p (residue tuples), against references built on tuples
+(one bit per coordinate) and odd p (one w-bit lane per coordinate), against references built on tuples
 with oracle_rref_rows and bracket only."""
 
 import itertools
@@ -9,16 +9,18 @@ from hypothesis import given, settings, strategies as st
 
 from chieflie.algebra import bracket, is_ideal
 from chieflie.corpus import abelian, heisenberg, random_solvable, registry
+from chieflie.field import prime_field
 from chieflie.ideals import all_ideals, ideal_closure
 from chieflie.linalg import (Subspace, _pack, enumerate_subspaces,
                              subspace_intersect, subspace_leq, subspace_sum,
                              unit)
 from chieflie.oracle import oracle_rref_rows
 
-PRIMES = (2, 3, 5, 7)
+# 11 and 13 have the widest lanes and the most reduction steps.
+PRIMES = (2, 3, 5, 7, 11, 13)
 # Largest ambient dimension drawn over each field: the odd-p kernel is the
 # same code at every n, and its members are enumerated up to p^n <= 729.
-MAX_N = {2: 8, 3: 5, 5: 4, 7: 4}
+MAX_N = {2: 8, 3: 5, 5: 4, 7: 4, 11: 4, 13: 4}
 
 
 def _vectors(n, p):
@@ -89,14 +91,15 @@ def test_mask_lattice_matches_tuple_path(data):
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
 @given(st.data())
 def test_mask_order_is_row_order(data):
-    """For equal n, (dim, masks) sorts exactly like (dim, rows): column 0
-    is the top bit, so integer order on masks is lexicographic order on
-    rows."""
-    n = data.draw(st.integers(1, 8))
-    x, y = (data.draw(st.tuples(*[st.integers(0, 1)] * n)) for _ in range(2))
-    assert (x < y) == (Subspace(n, 2, [x])._basis < Subspace(n, 2, [y])._basis)
-    spaces = [Subspace(n, 2, rows)
-              for rows in data.draw(st.lists(_rows(n), max_size=8))]
+    """For equal n and p, (dim, packed basis) sorts exactly like (dim,
+    rows): column 0 is the top lane, so integer order on packed vectors is
+    lexicographic order on rows."""
+    p = data.draw(st.sampled_from(PRIMES))
+    n = data.draw(st.integers(1, MAX_N[p]))
+    x, y = (data.draw(_vectors(n, p)) for _ in range(2))
+    assert (x < y) == (_pack(x, p) < _pack(y, p))
+    spaces = [Subspace(n, p, rows)
+              for rows in data.draw(st.lists(_rows(n, p), max_size=8))]
     by_rows = sorted(spaces, key=Subspace.key)
     assert by_rows == sorted(spaces, key=lambda s: (s.dim, s._basis))
     for a, b in itertools.combinations(spaces, 2):
@@ -104,9 +107,10 @@ def test_mask_order_is_row_order(data):
 
 
 def test_enumeration_order_is_mask_order():
-    for n in range(1, 6):
-        spaces = list(enumerate_subspaces(n, 2))
-        assert spaces == sorted(spaces, key=lambda s: (s.dim, s._basis))
+    for p, top in ((2, 5), (3, 4), (5, 3)):
+        for n in range(1, top + 1):
+            spaces = list(enumerate_subspaces(n, p))
+            assert spaces == sorted(spaces, key=lambda s: (s.dim, s._basis))
 
 
 def test_subspace_rejects_rows_of_the_wrong_length():
@@ -193,11 +197,11 @@ def test_ad_maps_images_are_brackets(data):
 
 
 def _flipped(column, k, p):
-    """column with entry k of its n * n images moved by one: over GF(2)
-    bit k, over odd p the k-th residue."""
-    if p == 2:
-        return column ^ 1 << k
-    return column[:k] + ((column[k] + 1) % p,) + column[k + 1:]
+    """column with lane k of its n * n images (counted from the bottom, one
+    bit over GF(2)) moved by one: c becomes c + 1 mod p."""
+    w = prime_field(p).w
+    c = column >> k * w & (1 << w) - 1
+    return column + (((c + 1) % p - c) << k * w)
 
 
 def _flips_caught(l, flips):
@@ -231,5 +235,5 @@ def test_bracket_table_flip_is_caught():
     _flips_caught(abelian(3, 3), itertools.product(range(3), range(9)))
     # Entry 1 is y = x_1: [x_0, y] = z fills its bits 8..6, z at bit 6.
     _flips_caught(heisenberg(2), [(1, 6)])
-    # Over odd p, column 1 is y's: [x_0, y] = z fills its entries 0..2.
-    _flips_caught(heisenberg(3), [(1, 0)])
+    # The same lanes over GF(3): lane 8 is the x entry of [x_0, y].
+    _flips_caught(heisenberg(3), [(1, 8)])

@@ -3,6 +3,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chieflie.algebra import bracket, is_ideal, is_subalgebra, restrict_algebra
 from chieflie.corpus import (abelian, h3_plus_line, heisenberg, nonabelian2,
@@ -18,8 +19,9 @@ from chieflie.maximal import (MaximalRecord, PrimitiveKind, algebra_isomorphisms
                               is_monolithic, maximal_records,
                               maximal_subalgebras, monolithic_supplements,
                               primitive_type, record_for, supplements_of)
-from chieflie.oracle import (oracle_frattini, oracle_maximal_subalgebras,
-                             oracle_subalgebras)
+from chieflie.oracle import (oracle_complements, oracle_frattini,
+                             oracle_maximal_subalgebras, oracle_subalgebras,
+                             oracle_supplements)
 
 SMALL = [heisenberg(2), heisenberg(3), nonabelian2(2), nonabelian2(3),
          r4(2), h3_plus_line(2), abelian(3, 2)]
@@ -194,6 +196,36 @@ def test_supplements_require_nested_subspaces():
     l = heisenberg(2)
     with pytest.raises(ValueError):
         supplements_of(l, span(l, (1, 0, 0)), span(l, (0, 1, 0)))
+
+
+def test_supplements_require_an_ideal():
+    l = heisenberg(2)
+    with pytest.raises(ValueError, match="requires an ideal"):
+        supplements_of(l, span(l, (1, 0, 0)), l.zero_space)
+    with pytest.raises(ValueError, match="requires an ideal"):
+        complements_of(l, span(l, (0, 1, 0)), l.zero_space)
+
+
+@settings(max_examples=25, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_supplement_tests_match_sum_and_meet_oracles(data):
+    """The containment test of supplements_of and the dimension test of
+    complements_of give the maximal subalgebras that the sum and meet tests
+    give, for every pair of nested ideals B <= A."""
+    kind = data.draw(st.sampled_from(("corpus", "random", "sl2sum")))
+    if kind == "corpus":
+        l = data.draw(st.sampled_from([e.algebra for e in registry()]))
+    elif kind == "random":
+        l = random_solvable(5, data.draw(st.sampled_from((2, 3))),
+                            data.draw(st.integers(0, 10_000)))
+    else:
+        l = sl2sum(5)
+    pool = maximal_subalgebras(l)
+    ideals = all_ideals(l)
+    for a, b in itertools.product(ideals, ideals):
+        if subspace_leq(b, a):
+            assert supplements_of(l, a, b) == oracle_supplements(l, a, b, pool)
+            assert complements_of(l, a, b) == oracle_complements(l, a, b, pool)
 
 
 def test_sl2sum_supplements_and_complements():
