@@ -1,6 +1,6 @@
 """The packed kernel of Subspace, is_ideal and ideal_closure, over GF(2)
-(one bit per coordinate) and odd p (one w-bit lane per coordinate), against references built on tuples
-with oracle_rref_rows and bracket only."""
+(one bit per coordinate) and odd p (a w-bit lane per coordinate), against
+references built on tuples with oracle_rref_rows and bracket only."""
 
 import itertools
 
