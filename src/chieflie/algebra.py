@@ -7,7 +7,6 @@ the Jacobi identity and reports the first violating basis triple.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property, lru_cache
 

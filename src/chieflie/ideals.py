@@ -11,10 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
-from .algebra import (LieAlgebra, ad_matrix, bracket, is_ideal,
-                      subspace_product)
-from .linalg import (Subspace, _hash_once, quotient_coords, solve_linear,
-                     spin, subspace_leq, subspace_sum)
+from .algebra import LieAlgebra, ad_matrix, is_ideal, subspace_product
+from .linalg import (Subspace, _hash_once, quotient_coords, spin,
+                     subspace_intersect, subspace_leq, subspace_sum)
 
 # Scans of more lines than this spin only an ad x Fitting cover's lines
 # (_direction_lifts).  Choosing x costs more than a short scan saves: at 0,
@@ -47,43 +46,20 @@ def subalgebra_closure(l: LieAlgebra, seed: Subspace) -> Subspace:
 @lru_cache(maxsize=None)
 def core(l: LieAlgebra, u: Subspace) -> Subspace:
     """Largest ideal of L contained in U, by descending iteration
-    U_{k+1} = {x in U_k : [L, x] <= U_k}."""
-    cur = u
+    U_{k+1} = U_k n C_L(L/U_k), the x in U_k with [L, x] <= U_k, until
+    U_k <= C_L(L/U_k)."""
     while True:
-        if cur.dim == 0:
-            return cur
-        # x = sum t_a r_a with [e_i, x] in cur for all basis elements e_i
-        rows = []
-        for e in l.full.rows:
-            residuals = [cur.reduce(bracket(l, e, r)) for r in cur.rows]
-            for coord in range(l.n):
-                row = tuple(residuals[a][coord] for a in range(cur.dim))
-                if any(row):
-                    rows.append(row)
-        if not rows:
-            return cur  # already an ideal
-        _, kernel = solve_linear(rows, (0,) * len(rows), l.p)
-        nxt = Subspace(l.n, l.p, [cur.combine(t) for t in kernel.rows])
-        if nxt.dim == cur.dim:
-            return nxt
-        cur = nxt
+        c = centralizer_of_factor(l, l.full, u)
+        if subspace_leq(u, c):
+            return u
+        u = subspace_intersect(u, c)
 
 
 def centralizer_of_factor(l: LieAlgebra, a: Subspace, b: Subspace) -> Subspace:
     """C_L(A/B) = {x : [x, A] <= B}; an ideal whenever A, B are ideals."""
     if not subspace_leq(b, a):
         raise ValueError("centralizer_of_factor needs B <= A")
-    rows = []
-    for aj in a.rows:
-        residuals = [b.reduce(bracket(l, e, aj)) for e in l.full.rows]
-        for coord in range(l.n):
-            row = tuple(residuals[i][coord] for i in range(l.n))
-            if any(row):
-                rows.append(row)
-    if not rows:
-        return l.full
-    _, kernel = solve_linear(rows, (0,) * len(rows), l.p)
-    return kernel
+    return l.ad_maps.sending(a, b)
 
 
 def centralizer(l: LieAlgebra, a: Subspace) -> Subspace:

@@ -19,10 +19,10 @@ jh_permutation runs the appropriate transfer for every factor of the first
 series against the second, producing a permutation that pairs the factors
 index by index.  Every pair is verified to be related (m_related), connected
 (l_connected), identically classified, and to share a common maximal
-supplement (and complement) when both sides admit them.  The permutation
-produced this way is the unique one pairing every index relatedly;
-matching_permutations enumerates all such pairings for small lengths so the
-uniqueness can be checked exhaustively.
+supplement (and, for abelian factors, complement) when both sides admit
+them.  The permutation produced this way is the unique one pairing every
+index relatedly; matching_permutations enumerates all such pairings for
+small lengths so the uniqueness can be checked exhaustively.
 
 cut_and_paste handles L = B + U for an ideal B and subalgebra U: the natural
 map U/(B n U) -> L/B is verified to be an isomorphism, and chief series and
@@ -342,8 +342,10 @@ def jh_permutation(first: ChiefSeries, second: ChiefSeries) -> JHReport:
     The i-th factor of the first series is sent to the transfer index of the
     appropriate kind along the second series.  The resulting pairing is
     verified to be a permutation whose pairs are related, connected, and
-    identically classified, sharing maximal supplements and complements
-    whenever both sides are supplemented (resp. complemented).
+    identically classified, sharing a maximal supplement whenever both sides
+    are supplemented and a maximal complement whenever both sides are
+    complemented and abelian; the shared complements of a nonabelian pair
+    are reported, and may be none.
     """
     _check_series_pair(first, second)
     l = first.algebra
@@ -371,7 +373,7 @@ def jh_permutation(first: ChiefSeries, second: ChiefSeries) -> JHReport:
                     "matched supplemented factors must share a maximal "
                     "supplement")
         shared_c = common_complements(f, g) if f.complemented else ()
-        if f.complemented and g.complemented:
+        if f.complemented and g.complemented and f.abelian and g.abelian:
             require(bool(shared_c),
                     "matched complemented factors must share a maximal "
                     "complement")

@@ -357,6 +357,22 @@ class PackedMaps:
         s, block = n * w, (1 << n * w) - 1
         return [acc >> k & block for k in range(s * (n - 1), -1, -s)]
 
+    def sending(self, a: Subspace, b: Subspace) -> Subspace:
+        """The x with sum x_i f_i mapping A into B.  Row i holds the
+        residues mod B of f_i(v) for every basis vector v of A, with e_i in
+        the low n lanes; as in subspace_intersect, the reduced rows with
+        zero top part carry the answer (all of them when A = 0)."""
+        n, p = self.n, self.p
+        w = prime_field(p).w
+        residue, s = _pair(p, n)[0], n * w
+        tops = [0] * n
+        for v in a._basis:
+            tops = [(t << s) | residue(b._basis, fv)
+                    for t, fv in zip(tops, self.images(v))]
+        basis = _span(p, (a.dim + 1) * n, [(t << s) | 1 << (n - 1 - i) * w
+                                           for i, t in enumerate(tops)])
+        return Subspace._of(n, p, [m for m in basis if not m >> s])
+
 
 def spin(seed: Subspace, maps: PackedMaps,
          base: Subspace | None = None) -> Subspace:

@@ -20,6 +20,9 @@ Core-free maximal subalgebras are found structurally:
 * if there is no abelian minimal ideal but exactly two nonabelian minimal
   ideals A, B with A + B = L, every core-free maximal subalgebra is the graph
   of an algebra isomorphism A -> B;
+* with three or more minimal ideals A, B, C there is none: for a core-free
+  maximal M, C_L(A) n M is an ideal inside M, so 0; B and C lie in C_L(A),
+  so each complements M and B + C meets M in 0, yet dim(B + C) = 2 codim M;
 * otherwise (simple algebras and other small leftovers) a bounded
   brute-force subspace enumeration takes over, refusing with BudgetExceeded
   when out of range.
@@ -273,7 +276,7 @@ def maximal_subalgebras(l: LieAlgebra) -> tuple[Subspace, ...]:
     elif (len(mins) == 2
           and mins[0].dim + mins[1].dim == l.n):
         found.update(_graph_maximals(l, mins[0], mins[1]))
-    else:
+    elif len(mins) < 3:
         count = count_subspaces(l.n, l.p)
         return enumerated_maximal_subalgebras(l) if count <= ENUM_COUNT_CAP \
             else _refuse(l, count)

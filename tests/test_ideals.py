@@ -1,5 +1,6 @@
 """Ideal machinery versus the brute-force oracle, plus frozen known values."""
 
+import random
 import time
 from functools import lru_cache
 
@@ -19,6 +20,7 @@ from chieflie.ideals import (ChiefSeries, all_ideals, centralizer,
 from chieflie.linalg import (ENUM_COUNT_CAP, BudgetExceeded, Matrix, Subspace,
                              enumerate_subspaces, quotient_coords,
                              subspace_leq)
+from chieflie.maximal import maximal_subalgebras
 from chieflie.oracle import (oracle_centralizer, oracle_chief_series_count,
                              oracle_core, oracle_ideal_closure, oracle_ideals,
                              oracle_is_chief, oracle_minimal_ideals_over)
@@ -111,6 +113,25 @@ def test_core_matches_oracle_exhaustively():
             assert core(l, u) == oracle_core(l, u), (l.labels, u)
 
 
+@pytest.mark.parametrize("l", [sl2sum(5), random_solvable(6, 5, 1),
+                               random_solvable(5, 7, 0)],
+                         ids=["sl2sum(5)", "random_solvable(6,5,1)",
+                              "random_solvable(5,7,0)"])
+def test_core_is_the_largest_ideal_inside(l):
+    # all_ideals is a second route where oracle_core's enumeration refuses
+    # (GF(5)^6 and GF(7)^5 have more than ENUM_COUNT_CAP subspaces)
+    rng = random.Random(l.n * l.p)
+    ideals = all_ideals(l)
+    subs = list(maximal_subalgebras(l)) + [
+        Subspace(l.n, l.p, [[rng.randrange(l.p) for _ in range(l.n)]
+                            for _ in range(k)])
+        for k in range(l.n) for _ in range(4)]
+    for u in subs:
+        c = core(l, u)
+        assert c in ideals
+        assert all(subspace_leq(i, c) for i in ideals if subspace_leq(i, u))
+
+
 # -- centralizers -----------------------------------------------------------
 
 
@@ -134,6 +155,22 @@ def test_centralizer_matches_oracle_on_ideal_pairs():
                 if subspace_leq(b, a):
                     assert centralizer_of_factor(l, a, b) == \
                         oracle_centralizer(l, a, b)
+    # core asks C_L(L/U) for non-ideal U: seeded B <= A, A = B, A = L and
+    # A = 0 in random solvable algebras over every small field
+    rng = random.Random(0)
+    for n, p in [(5, 2), (4, 3), (3, 5), (3, 7)]:
+        for seed in range(3):
+            l = random_solvable(n, p, seed)
+            for _ in range(4):
+                a = Subspace(n, p, [[rng.randrange(p) for _ in range(n)]
+                                    for _ in range(rng.randint(1, n))])
+                b = Subspace(n, p, [
+                    a.combine([rng.randrange(p) for _ in a.rows])
+                    for _ in range(rng.randint(0, a.dim))])
+                for x, y in ((a, b), (a, a), (l.full, b),
+                             (l.zero_space, l.zero_space)):
+                    assert centralizer_of_factor(l, x, y) == \
+                        oracle_centralizer(l, x, y)
 
 
 def test_centralizer_requires_containment():

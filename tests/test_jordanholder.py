@@ -1,11 +1,13 @@
 """Tests for series transfer, the matching permutation, and cut-and-paste."""
 
 import json
+from collections import Counter
 
 import pytest
 
+from chieflie.algebra import direct_sum
 from chieflie.corpus import (abelian, h3_plus_line, heisenberg, nonabelian2,
-                             r4, random_solvable, sl2sum)
+                             r4, random_solvable, sl2, sl2sum)
 from chieflie.errors import VerificationError
 from chieflie.factors import (chief_factor_catalog, crossing_catalog,
                               descends_to, get_factor)
@@ -19,6 +21,7 @@ from chieflie.jordanholder import (CutPaste, cut_and_paste, cut_maximal_down,
 from chieflie.linalg import (Subspace, subspace_intersect, subspace_leq,
                              subspace_sum)
 from chieflie.maximal import maximal_subalgebras
+from chieflie.oracle import oracle_complements
 
 
 def span(l, *vs):
@@ -334,6 +337,51 @@ def test_jh_on_random_solvables():
                     rep = jh_permutation(xs, ys)
                     assert sorted(rep.sigma) == list(range(1, xs.length + 1))
                     assert matching_permutations(xs, ys) == (rep.sigma,)
+
+
+@pytest.fixture(scope="module")
+def sl2_cubed():
+    """sl2 + sl2 + sl2 over GF(5): three nonabelian minimal ideals, so no
+    core-free maximal subalgebra.  Kept out of corpus.registry(), which
+    drives the criterion tests and the benchmark's frozen outputs."""
+    return direct_sum(sl2(5), direct_sum(sl2(5), sl2(5)))
+
+
+def test_sl2_cubed_maximals_catalog_and_series(sl2_cubed):
+    l = sl2_cubed
+    maxes = maximal_subalgebras(l)
+    # S_i + S_j + one of sl2(5)'s 16 maximals, or S_k + the graph of one of
+    # its 120 automorphisms between S_i and S_j
+    assert Counter(core(l, m).dim for m in maxes) == {6: 3 * 16, 3: 3 * 120}
+    assert len(chief_factor_catalog(l)) == 12
+    assert len(all_series(l)) == 6
+
+
+def test_sl2_cubed_nonabelian_matches_share_no_complement(sl2_cubed):
+    # 0 < S2 < S1+S2 < L against 0 < S0 < S0+S1 < L pairs (S1+S2)/S2 with
+    # (S0+S1)/S0; a common complement would be S0 + S2, which is not
+    # maximal, so only the abelian pairs must share a complement
+    l = sl2_cubed
+    maxes = maximal_subalgebras(l)
+    series = all_series(l)
+    unshared = 0
+    for xs in series:
+        for ys in series:
+            rep = jh_permutation(xs, ys)
+            assert matching_permutations(xs, ys) == (rep.sigma,)
+            for m in rep.matches:
+                f, g = m.factor, m.partner
+                if not (f.complemented and g.complemented):
+                    continue
+                assert not f.abelian and not g.abelian
+                common = set(oracle_complements(l, f.a, f.b, maxes)) & \
+                    set(oracle_complements(l, g.a, g.b, maxes))
+                assert set(m.shared_complements) == common
+                if not common:
+                    assert (f.a.dim, f.b.dim, g.b.dim) == (6, 3, 3)
+                    assert len(m.shared_supplements) == 16
+                    unshared += 1
+    assert unshared == 6
 
 
 # -- cut and paste -----------------------------------------------------------
