@@ -440,6 +440,8 @@ def main(argv=None) -> int:
         _parser = build_parser()
     try:
         args = _parser.parse_args(argv)
+        if getattr(args, "cap", 0) < 0:
+            raise CliInputError(f"--cap must be non-negative, got {args.cap}")
         return args.func(args)
     except (CliInputError, AlgebraFileError) as e:
         print(f"error: {e}", file=sys.stderr)

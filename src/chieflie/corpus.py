@@ -17,6 +17,8 @@ from .field import SUPPORTED_PRIMES
 
 def abelian(n: int, p: int, labels=None) -> LieAlgebra:
     """All brackets zero."""
+    if n < 1:
+        raise ValueError("dimension must be positive")
     if labels is None:
         labels = tuple(f"a{i + 1}" for i in range(n))
     return LieAlgebra.from_brackets(n, p, {}, labels)

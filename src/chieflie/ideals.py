@@ -69,7 +69,8 @@ def centralizer(l: LieAlgebra, a: Subspace) -> Subspace:
 @lru_cache(maxsize=None)
 def minimal_ideals_over(l: LieAlgebra, b: Subspace,
                         within: Subspace | None = None) -> tuple[Subspace, ...]:
-    """Ideals A with A/B minimal in L/B (optionally restricted to A <= within).
+    """Ideals A with A/B minimal in L/B (optionally restricted to A <= within,
+    by filtering: an ideal between B and such an A lies in within too).
 
     Every candidate arises as the ideal closure of B plus a single direction,
     so closing over all coset directions and keeping the inclusion-minimal
@@ -77,14 +78,15 @@ def minimal_ideals_over(l: LieAlgebra, b: Subspace,
     """
     if not is_ideal(l, b):
         raise ValueError("base of minimal_ideals_over must be an ideal")
-    top = within if within is not None else l.full
-    if within is not None and not subspace_leq(b, within):
-        raise ValueError("within must contain the base ideal")
+    if within is not None:
+        if not subspace_leq(b, within):
+            raise ValueError("within must contain the base ideal")
+        return tuple(a for a in minimal_ideals_over(l, b)
+                     if subspace_leq(a, within))
     closures = {ideal_closure(l, Subspace(l.n, l.p, (v,)), b)
-                for v in _direction_lifts(l, top, b)}
-    candidates = [c for c in closures if subspace_leq(c, top)]
-    mins = [c for c in candidates if not any(
-        o.dim < c.dim and subspace_leq(o, c) for o in candidates)]
+                for v in _direction_lifts(l, b)}
+    mins = [c for c in closures if not any(
+        o.dim < c.dim and subspace_leq(o, c) for o in closures)]
     return tuple(sorted(mins, key=Subspace.key))
 
 
@@ -113,23 +115,21 @@ def is_solvable(l: LieAlgebra) -> bool:
 @lru_cache(maxsize=None)
 def is_chief_pair(l: LieAlgebra, a: Subspace, b: Subspace) -> bool:
     """A/B is a chief factor: both ideals, B < A, nothing of L strictly
-    between.  Equivalent test: the ideal closure of B plus any single
-    direction of A/B is all of A."""
+    between, that is A is a minimal ideal over B."""
     if not (subspace_leq(b, a) and b.dim < a.dim):
         return False
     if not (is_ideal(l, a) and is_ideal(l, b)):
         return False
-    return all(ideal_closure(l, Subspace(l.n, l.p, (v,)), b) == a
-               for v in _direction_lifts(l, a, b))
+    return a in minimal_ideals_over(l, b)
 
 
-def _direction_lifts(l: LieAlgebra, top: Subspace, b: Subspace):
-    """Lifts of lines of top/B whose closures over the ideal B include each
-    minimal ideal of L/B in top.  Above the cutoff, for an ideal top, only
-    the lines of the Fitting cover of ad x on top/B, which every ideal N/B
-    meets, for x the basis row, all-ones or (1, 2, ..., n) with fewest."""
-    qc = quotient_coords(top, b)
-    if qc.line_count() <= RESTRICT_ABOVE_LINES or not is_ideal(l, top):
+def _direction_lifts(l: LieAlgebra, b: Subspace):
+    """Lifts of lines of L/B whose closures over the ideal B include each
+    minimal ideal of L/B.  Above the cutoff, only the lines of the Fitting
+    cover of ad x on L/B, which every ideal N/B meets, for x the basis row,
+    all-ones or (1, 2, ..., n) with fewest."""
+    qc = quotient_coords(l.full, b)
+    if qc.line_count() <= RESTRICT_ABOVE_LINES:
         return qc.line_lifts()
     ramp = tuple((i + 1) % l.p for i in range(l.n))
     covers = [ad_matrix(l, x, qc).fitting_cover()
@@ -193,17 +193,7 @@ def chief_series(l: LieAlgebra, frm: Subspace | None = None,
                  to: Subspace | None = None) -> ChiefSeries:
     """Canonical chief series from frm to to: always extend by the first
     minimal overideal in the (dim, rows) order."""
-    frm = frm if frm is not None else l.zero_space
-    to = to if to is not None else l.full
-    _check_endpoints(l, frm, to)
-    terms = [frm]
-    while terms[-1] != to:
-        step = _minimal_ideals_within(l, terms[-1], to)
-        if not step:
-            raise RuntimeError("no minimal overideal found below the target; "
-                               "endpoint is not an ideal?")
-        terms.append(step[0])
-    return ChiefSeries(l, tuple(terms))
+    return enumerate_chief_series(l, frm, to, cap=1).series[0]
 
 
 @dataclass(frozen=True)
@@ -217,7 +207,10 @@ def enumerate_chief_series(l: LieAlgebra, frm: Subspace | None = None,
                            to: Subspace | None = None,
                            cap: int = 5000) -> SeriesEnumeration:
     """All chief series from frm to to, depth-first in canonical order,
-    stopping with truncated=True once cap series have been collected."""
+    stopping with truncated=True before a branch past the first cap series
+    (every branch holds at least one series)."""
+    if cap < 0:
+        raise ValueError(f"series cap must be non-negative, got {cap}")
     frm = frm if frm is not None else l.zero_space
     to = to if to is not None else l.full
     _check_endpoints(l, frm, to)
@@ -227,25 +220,20 @@ def enumerate_chief_series(l: LieAlgebra, frm: Subspace | None = None,
     def extend(prefix: tuple[Subspace, ...]) -> bool:
         nonlocal truncated
         if prefix[-1] == to:
+            out.append(ChiefSeries(l, prefix))
+            return True
+        for nxt in minimal_ideals_over(l, prefix[-1]):
+            if not subspace_leq(nxt, to):
+                continue
             if len(out) == cap:
                 truncated = True
                 return False
-            out.append(ChiefSeries(l, prefix))
-            return True
-        for nxt in _minimal_ideals_within(l, prefix[-1], to):
             if not extend(prefix + (nxt,)):
                 return False
         return True
 
     extend((frm,))
     return SeriesEnumeration(tuple(out), truncated, cap)
-
-
-def _minimal_ideals_within(l: LieAlgebra, b: Subspace, to: Subspace):
-    """minimal_ideals_over(l, b, within=to), as all_ideals keys it if to=L."""
-    if to == l.full:
-        return minimal_ideals_over(l, b)
-    return minimal_ideals_over(l, b, within=to)
 
 
 def _check_endpoints(l: LieAlgebra, frm: Subspace, to: Subspace) -> None:

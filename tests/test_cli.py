@@ -334,3 +334,27 @@ def test_cli_input_error_leaves_next_command_unchanged(capsys):
                            check=False)
     assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
     assert code == 0 and out
+
+
+def test_cli_refuses_negative_caps(capsys):
+    """Every --cap refuses a negative value before any work: exit 1, one
+    error line and nothing on stdout."""
+    for argv in (["chief-series", "corpus:heisenberg", "--cap", "-1"],
+                 ["jh", "corpus:heisenberg", "--all-pairs", "--cap", "-1"],
+                 ["analyze", "corpus:heisenberg", "--oracle", "on",
+                  "--cap", "-5"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert err.splitlines() == [
+            f"error: --cap must be non-negative, got {argv[-1]}"], argv
+
+
+def test_cli_abelian_refuses_non_positive_dims(capsys):
+    for dim in ("0", "-1"):
+        for argv in (["corpus", "export", "abelian"],
+                     ["validate", "corpus:abelian"],
+                     ["analyze", "corpus:abelian"]):
+            code, out, err = run(capsys, *argv, "--dim", dim)
+            assert (code, out) == (1, ""), (argv, dim)
+            assert err.splitlines() == [
+                "error: dimension must be positive"], (argv, dim)

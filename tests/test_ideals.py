@@ -296,7 +296,7 @@ def _assert_restricted_scan_agrees(l):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(ideals_module, "RESTRICT_ABOVE_LINES", 0)
             lines = [Subspace(qc.dim, l.p, (qc.project(v),)) for v in
-                     ideals_module._direction_lifts(l, l.full, b)]
+                     ideals_module._direction_lifts(l, b)]
         assert len(set(lines)) == len(lines)
     hyperplane = Subspace(l.n, l.p, l.full.rows[:-1])
     for within in ideals[-2:-1] + (hyperplane,):
@@ -516,3 +516,110 @@ def test_enumerate_chief_series_truncation():
     assert len(below.series) == 20 and below.truncated
     above = enumerate_chief_series(a, cap=22)
     assert len(above.series) == 21 and not above.truncated
+
+
+# -- the ideal lattice against its definitions, past the oracle's budget ------
+
+
+def _closures(l, w, b):
+    """The ideal closures of B + <v>, v over the lines of W/B, lazily."""
+    return (ideal_closure(l, Subspace(l.n, l.p, (v,)), b)
+            for v in quotient_coords(w, b).line_lifts())
+
+
+LATTICE_INPUTS = {"sl2sum(5)": sl2sum(5),
+                  "random_solvable(6,5,1)": random_solvable(6, 5, 1)} | {
+    f"random_solvable(5,{p},{s})": random_solvable(5, p, s)
+    for p, s in ((2, 0), (3, 1), (7, 2))}
+
+
+@pytest.mark.parametrize("name", LATTICE_INPUTS)
+def test_chief_pairs_and_restricted_searches_match_definitions(name):
+    """is_chief_pair(A, B): every closure over a line of A/B is A.
+    minimal_ideals_over(B, within=W): the inclusion-minimal closures over
+    the lines of W/B that stay in W, for a seeded ideal W and a non-ideal
+    hyperplane W.  Past oracle_ideals' enumeration budget for GF(5)^6 and
+    GF(7)^5, so the closures are the reference."""
+    l = LATTICE_INPUTS[name]
+    rng = random.Random(name)
+    ideals = all_ideals(l)
+    while True:
+        hyperplane = Subspace(l.n, l.p, [
+            [rng.randrange(l.p) for _ in range(l.n)] for _ in range(l.n - 1)])
+        if hyperplane.dim == l.n - 1 and not is_ideal(l, hyperplane):
+            break
+    for b in ideals:
+        above = [a for a in ideals if subspace_leq(b, a)]
+        for a in above:
+            want = b != a and all(c == a for c in _closures(l, a, b))
+            assert is_chief_pair(l, a, b) == want, (a, b)
+        for w in (rng.choice(above), hyperplane):
+            if not subspace_leq(b, w):
+                continue
+            inside = {c for c in _closures(l, w, b) if subspace_leq(c, w)}
+            want = {c for c in inside if not any(
+                o.dim < c.dim and subspace_leq(o, c) for o in inside)}
+            got = minimal_ideals_over(l, b, within=w)
+            assert set(got) == want and len(got) == len(want), (b, w)
+        # a non-ideal end is never a chief pair
+        if subspace_leq(b, hyperplane) and b.dim < hyperplane.dim:
+            assert not is_chief_pair(l, hyperplane, b)
+    assert not is_chief_pair(l, l.full, hyperplane)
+
+
+# -- truncation and search counts -------------------------------------------
+
+
+def _r4_endpoints():
+    r = r4(2)
+    return r, span(r, (0, 1, 0, 0)), span(
+        r, (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+
+
+CAP_CASES = {name: (l, None, None) for name, l in (
+    ("abelian(3,2)", abelian(3, 2)), ("heisenberg(3)", heisenberg(3)),
+    ("r4(2)", r4(2)), ("sl2sum(5)", sl2sum(5)), ("sl2(5)", sl2(5)))} | {
+    "r4(2) line to socle": _r4_endpoints()}
+
+
+@pytest.mark.parametrize("name", CAP_CASES)
+def test_enumeration_cap_keeps_a_prefix(name):
+    """A capped enumeration is the first cap series of the full one, and
+    truncated says exactly that more than cap exist."""
+    l, frm, to = CAP_CASES[name]
+    full = enumerate_chief_series(l, frm, to).series
+    k = len(full)
+    for cap in sorted({0, 1, k - 1, k, k + 1}):
+        enum = enumerate_chief_series(l, frm, to, cap=cap)
+        assert enum.series == full[:cap] and enum.cap == cap
+        assert enum.truncated == (k > cap)
+
+
+def test_enumeration_refuses_a_negative_cap():
+    for cap in (-1, -5):
+        with pytest.raises(ValueError, match="non-negative"):
+            enumerate_chief_series(heisenberg(2), cap=cap)
+
+
+def test_chief_series_is_the_first_enumerated_series():
+    for l in SMALL + [sl2(5), sl2sum(5), abelian(2, 3)]:
+        assert chief_series(l) == enumerate_chief_series(l).series[0]
+    r, line, v = _r4_endpoints()
+    assert chief_series(r, frm=line, to=v) == \
+        enumerate_chief_series(r, line, v).series[0]
+    assert chief_series(r, frm=line) == \
+        enumerate_chief_series(r, frm=line).series[0]
+    assert chief_series(r, to=v) == enumerate_chief_series(r, to=v).series[0]
+
+
+@pytest.mark.parametrize("l", [sl2sum(5), r4(2), h3_plus_line(2),
+                               random_solvable(5, 3, 1)],
+                         ids=["sl2sum(5)", "r4(2)", "h3_plus_line(2)",
+                              "random_solvable(5,3,1)"])
+def test_first_series_searches_once_per_term(l):
+    """cap=1 walks one branch: one minimal_ideals_over search per term
+    below the top, and no walk down a second branch."""
+    minimal_ideals_over.cache_clear()
+    enum = enumerate_chief_series(l, cap=1)
+    assert minimal_ideals_over.cache_info().misses == \
+        len(enum.series[0].terms) - 1
