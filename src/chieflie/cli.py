@@ -34,7 +34,7 @@ from .ideals import (chief_series, derived_series,
                      enumerate_chief_series, is_solvable, make_chief_series,
                      minimal_ideals, socle)
 from .jordanholder import jh_permutation
-from .linalg import BudgetExceeded, Subspace
+from .linalg import ENUM_COUNT_CAP, BudgetExceeded, Subspace
 from .maximal import (frattini, maximal_records, maximal_subalgebras,
                       primitive_type)
 from .oracle import (oracle_core, oracle_frattini, oracle_maximal_subalgebras,
@@ -137,12 +137,6 @@ def _cycle_text(sigma) -> str:
     return "".join(parts) if parts else "id"
 
 
-def _classification(f) -> str:
-    if f.frattini:
-        return "frattini"
-    return "complemented" if f.complemented else "supplemented"
-
-
 # -- commands ----------------------------------------------------------------
 
 
@@ -177,9 +171,8 @@ def cmd_validate(args) -> int:
 
 
 def _oracle_crosscheck(l: LieAlgebra, cap: int) -> None:
-    zero = Subspace.span(l.n, l.p, ())
-    fast_minimals = set(minimal_ideals(l))
-    if fast_minimals != set(oracle_minimal_ideals_over(l, zero, cap=cap)):
+    if set(minimal_ideals(l)) != set(
+            oracle_minimal_ideals_over(l, l.zero_space, cap=cap)):
         raise VerificationError("minimal ideals disagree with brute force")
     fast_max = set(maximal_subalgebras(l))
     if fast_max != set(oracle_maximal_subalgebras(l, cap=cap)):
@@ -203,8 +196,7 @@ def cmd_analyze(args) -> int:
     phi = frattini(l)
     prim = primitive_type(l)
     series = chief_series(l)
-    factors = [get_factor(l, series.terms[i], series.terms[i - 1])
-               for i in range(1, len(series.terms))]
+    factors = [get_factor(l, a, b) for a, b in series.factor_pairs()]
     if args.format == "structured":
         doc = {
             "dim": l.n, "field": l.p,
@@ -220,7 +212,7 @@ def cmd_analyze(args) -> int:
             "chief_series": [[list(r) for r in t.rows] for t in series.terms],
             "chief_factors": [
                 {"dim": f.dim, "abelian": f.abelian,
-                 "classification": _classification(f),
+                 "classification": f.classification,
                  "supplement_count": len(f.supplements),
                  "complement_count": len(f.complements)} for f in factors],
             "oracle_checked": args.oracle == "on",
@@ -248,7 +240,7 @@ def cmd_analyze(args) -> int:
           " ".join(str(t.dim) for t in series.terms))
     for idx, f in enumerate(factors, start=1):
         shape = "abelian" if f.abelian else "nonabelian"
-        print(f"  factor {idx}: dim {f.dim}, {shape}, {_classification(f)}"
+        print(f"  factor {idx}: dim {f.dim}, {shape}, {f.classification}"
               f" ({len(f.supplements)} supplements,"
               f" {len(f.complements)} complements)")
     if args.oracle == "on":
@@ -290,7 +282,7 @@ def _print_jh_text(rep) -> None:
             shared.append(f"{len(m.shared_complements)} shared complements")
         extra = (", " + ", ".join(shared)) if shared else ""
         print(f"index {m.position} -> {m.image}: dim {m.factor.dim}, "
-              f"{_classification(m.factor)}, case {m.relation.case}, "
+              f"{m.factor.classification}, case {m.relation.case}, "
               f"connection {m.connection.mode}, "
               f"transfer {m.transfer.case}{extra}")
     print("verified: bijection, relatedness, parity and shared "
@@ -307,6 +299,11 @@ def cmd_jh(args) -> int:
             print(f"error: series enumeration truncated at cap {args.cap}",
                   file=sys.stderr)
             return EXIT_BUDGET
+        count = len(enum.series)
+        if count * count > ENUM_COUNT_CAP:
+            raise BudgetExceeded(f"{count} chief series make {count * count} "
+                                 f"ordered pairs, over {ENUM_COUNT_CAP}",
+                                 count * count)
         reports = [jh_permutation(a, b)
                    for a in enum.series for b in enum.series]
         if args.format == "structured":

@@ -34,8 +34,8 @@ from .algebra import (LieAlgebra, ad_matrix, bracket, is_ideal,
                       is_subalgebra, preserves_brackets, quotient_algebra,
                       subspace_product)
 from .errors import VerificationError, require
-from .ideals import (all_ideals, centralizer_of_factor, is_chief_pair,
-                     minimal_ideals_over)
+from .ideals import (all_ideals, centralizer_of_factor, ideal_lattice,
+                     is_chief_pair, minimal_ideals_over)
 from .linalg import (BudgetExceeded, Matrix, Subspace, _hash_once,
                      quotient_coords, rref_rows, solve_linear,
                      subspace_intersect, subspace_leq, subspace_sum)
@@ -70,6 +70,12 @@ class ChiefFactor:
     @property
     def dim(self) -> int:
         return self.a.dim - self.b.dim
+
+    @property
+    def classification(self) -> str:
+        if self.frattini:
+            return "frattini"
+        return "complemented" if self.complemented else "supplemented"
 
     def key(self):
         return (self.a.key(), self.b.key())
@@ -149,8 +155,8 @@ def descends_to(f: ChiefFactor, g: ChiefFactor) -> bool:
     """Whether A/B descends onto C/D: A = B + C and B n C = D."""
     if f.algebra != g.algebra:
         raise ValueError("descent relates factors of the same algebra")
-    return (subspace_sum(f.b, g.a) == f.a
-            and subspace_intersect(f.b, g.a) == g.b)
+    lat = ideal_lattice(f.algebra)
+    return lat.join(f.b, g.a) == f.a and lat.meet(f.b, g.a) == g.b
 
 
 # -- crossings --------------------------------------------------------------

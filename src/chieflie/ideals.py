@@ -150,6 +150,36 @@ def all_ideals(l: LieAlgebra) -> tuple[Subspace, ...]:
     return tuple(sorted(seen, key=lambda s: s.key()))
 
 
+class IdealLattice:
+    """Joins and meets of ideals of one algebra (unchecked), each pair
+    computed once and each result interned: equal answers are one object."""
+
+    def __init__(self):
+        self._ideals, self._joins, self._meets = {}, {}, {}
+
+    def join(self, u: Subspace, v: Subspace) -> Subspace:
+        return self._ask(self._joins, subspace_sum, u, v)
+
+    def meet(self, u: Subspace, v: Subspace) -> Subspace:
+        return self._ask(self._meets, subspace_intersect, u, v)
+
+    def _ask(self, table, op, u, v):
+        try:
+            return table[u][v]
+        except KeyError:
+            out = op(u, v)
+            out = self._ideals.setdefault(out, out)
+            table.setdefault(u, {})[v] = table.setdefault(v, {})[u] = out
+            return out
+
+
+# The series transfers and descends_to repeat their joins and meets: one
+# seed-0 jh_corpus pass made 34,029 sums of 935 pairs, 12,072 meets of 917.
+@lru_cache(maxsize=None)
+def ideal_lattice(l: LieAlgebra) -> IdealLattice:
+    return IdealLattice()
+
+
 # ---------------------------------------------------------------------------
 # chief series
 # ---------------------------------------------------------------------------

@@ -45,7 +45,8 @@ from .factors import (ChiefFactor, LConnection, MCrossing, MRelation,
                       common_complements, common_supplements, descends_to,
                       get_factor, is_m_crossing, l_connected, m_related,
                       make_crossing)
-from .ideals import ChiefSeries, core, is_chief_pair, make_chief_series
+from .ideals import (ChiefSeries, core, ideal_lattice, is_chief_pair,
+                     make_chief_series)
 from .linalg import (BudgetExceeded, Matrix, Subspace, rref_rows,
                      subspace_intersect, subspace_leq, subspace_sum, unit)
 from .maximal import is_maximal
@@ -114,13 +115,11 @@ def transfer_supplemented(f: ChiefFactor,
     if not f.supplemented:
         raise ValueError("transfer_supplemented needs a supplemented factor")
     l = f.algebra
+    lat = ideal_lattice(l)
     a, b = f.a, f.b
-    qualifying = []
-    for j in range(1, series.length + 1):
-        section = _section_factor(l, subspace_sum(a, series.terms[j - 1]),
-                                  subspace_sum(b, series.terms[j - 1]))
-        if section is not None and section.supplemented:
-            qualifying.append(j)
+    sections = [_section_factor(l, lat.join(a, y), lat.join(b, y))
+                for y in series.terms[:-1]]
+    qualifying = [j for j, s in enumerate(sections, 1) if s and s.supplemented]
     require(bool(qualifying),
             "a supplemented factor must have at least one supplemented sum "
             "section (the series starts inside its denominator)")
@@ -130,22 +129,22 @@ def transfer_supplemented(f: ChiefFactor,
     series_factor = get_factor(l, x, y)
     require(series_factor.supplemented,
             "series step at the transfer index must be supplemented")
-    sum_middle = get_factor(l, subspace_sum(a, y), subspace_sum(b, y))
+    sum_middle = get_factor(l, lat.join(a, y), lat.join(b, y))
     require(descends_to(sum_middle, f),
             "qualifying sum section must descend onto the input factor")
 
-    ax = subspace_sum(a, x)
-    bx = subspace_sum(b, x)
+    ax = lat.join(a, x)
+    bx = lat.join(b, x)
     if ax == bx:
         require(ax == sum_middle.a,
                 "collapsed sum over the step top must match the sum over "
                 "its bottom")
         require(descends_to(sum_middle, series_factor),
                 "sum section must descend onto the series step")
-        ay = subspace_intersect(a, y)
-        require(ay == subspace_intersect(b, y) == subspace_intersect(b, x),
+        ay = lat.meet(a, y)
+        require(ay == lat.meet(b, y) == lat.meet(b, x),
                 "denominator intersections must agree in the collapsed case")
-        inter_middle = _section_factor(l, subspace_intersect(a, x), ay)
+        inter_middle = _section_factor(l, lat.meet(a, x), ay)
         require(inter_middle is not None,
                 "collapsed case must produce an intersection factor")
         require(descends_to(f, inter_middle),
@@ -208,14 +207,12 @@ def transfer_frattini(f: ChiefFactor, series: ChiefSeries) -> FrattiniTransfer:
     if not f.frattini:
         raise ValueError("transfer_frattini needs a Frattini factor")
     l = f.algebra
+    lat = ideal_lattice(l)
     a, b = f.a, f.b
-    index = None
-    for j in range(1, series.length + 1):
-        section = _section_factor(l, subspace_intersect(a, series.terms[j]),
-                                  subspace_intersect(b, series.terms[j]))
-        if section is not None and section.frattini:
-            index = j
-            break
+    sections = (_section_factor(l, lat.meet(a, x), lat.meet(b, x))
+                for x in series.terms[1:])
+    index = next((j for j, s in enumerate(sections, 1) if s and s.frattini),
+                 None)
     require(index is not None,
             "a Frattini factor must have at least one Frattini intersection "
             "section (the series ends above its numerator)")
@@ -224,24 +221,23 @@ def transfer_frattini(f: ChiefFactor, series: ChiefSeries) -> FrattiniTransfer:
     series_factor = get_factor(l, x, y)
     require(series_factor.frattini,
             "series step at the transfer index must be Frattini")
-    inter_middle = get_factor(l, subspace_intersect(a, x),
-                              subspace_intersect(b, x))
+    inter_middle = get_factor(l, lat.meet(a, x), lat.meet(b, x))
     require(descends_to(f, inter_middle),
             "input factor must descend onto the qualifying intersection "
             "section")
 
-    ay = subspace_intersect(a, y)
-    by = subspace_intersect(b, y)
+    ay = lat.meet(a, y)
+    by = lat.meet(b, y)
     if ay == by:
         require(ay == inter_middle.b,
                 "collapsed intersection over the step bottom must match the "
                 "intersection over its top")
         require(descends_to(series_factor, inter_middle),
                 "series step must descend onto the intersection section")
-        ax = subspace_sum(a, x)
-        require(subspace_sum(a, y) == ax == subspace_sum(b, x),
+        ax = lat.join(a, x)
+        require(lat.join(a, y) == ax == lat.join(b, x),
                 "numerator sums must agree in the collapsed case")
-        sum_middle = _section_factor(l, ax, subspace_sum(b, y))
+        sum_middle = _section_factor(l, ax, lat.join(b, y))
         require(sum_middle is not None,
                 "collapsed case must produce a sum factor")
         require(descends_to(sum_middle, f),
@@ -304,11 +300,9 @@ class JHReport:
             return [list(r) for r in s.rows]
 
         def factor_dict(f: ChiefFactor):
-            kind = "frattini" if f.frattini else (
-                "complemented" if f.complemented else "supplemented")
             return {"top": rows(f.a), "bottom": rows(f.b),
                     "dimension": f.dim, "abelian": f.abelian,
-                    "classification": kind}
+                    "classification": f.classification}
 
         return {
             "length": len(self.sigma),
@@ -334,6 +328,8 @@ def _check_series_pair(first: ChiefSeries, second: ChiefSeries):
         raise ValueError("series must belong to the same algebra")
     if first.terms[0] != second.terms[0] or first.terms[-1] != second.terms[-1]:
         raise ValueError("series must share both endpoints")
+    require(first.length == second.length,
+            "chief series between the same endpoints must have equal length")
 
 
 def jh_permutation(first: ChiefSeries, second: ChiefSeries) -> JHReport:
@@ -349,8 +345,6 @@ def jh_permutation(first: ChiefSeries, second: ChiefSeries) -> JHReport:
     """
     _check_series_pair(first, second)
     l = first.algebra
-    require(first.length == second.length,
-            "chief series between the same endpoints must have equal length")
     matches = []
     sigma = []
     for i in range(1, first.length + 1):
@@ -399,11 +393,8 @@ def matching_permutations(first: ChiefSeries,
     if math.factorial(n) > PERMUTATION_ENUM_CAP:
         raise BudgetExceeded("permutation enumeration too large",
                              math.factorial(n))
-    require(n == second.length,
-            "chief series between the same endpoints must have equal length")
-    fx = [get_factor(l, first.terms[i + 1], first.terms[i]) for i in range(n)]
-    fy = [get_factor(l, second.terms[i + 1], second.terms[i])
-          for i in range(n)]
+    fx = [get_factor(l, a, b) for a, b in first.factor_pairs()]
+    fy = [get_factor(l, a, b) for a, b in second.factor_pairs()]
     related = {(i, j): m_related(fx[i], fy[j]) is not None
                for i in range(n) for j in range(n)}
     return tuple(tuple(j + 1 for j in perm)

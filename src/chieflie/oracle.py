@@ -5,10 +5,10 @@ Everything here enumerates subspaces or vectors outright and tests the
 defining property directly, sharing no logic with the production code paths
 beyond the bracket itself; oracle_rref_rows is the plain elimination that
 the packed kernel of rref_rows must match over every field, and
-oracle_supplements and oracle_complements are the sum and meet tests that
-supplements_of and complements_among replace.  Budget limits
-of the subspace enumerator apply, so these are only usable for small n and
-p.
+oracle_supplements, oracle_complements and oracle_descends_to are the raw
+sum and meet tests that supplements_of, complements_among and descends_to
+replace.  Budget limits of the subspace enumerator apply, so these are only
+usable for small n and p.
 """
 
 from __future__ import annotations
@@ -139,6 +139,12 @@ def oracle_complements(l: LieAlgebra, a: Subspace, b: Subspace,
     """The supplements M in pool with A n M = B, by building the meet."""
     return tuple(m for m in oracle_supplements(l, a, b, pool)
                  if subspace_intersect(a, m) == b)
+
+
+def oracle_descends_to(f, g) -> bool:
+    """Chief factor A/B descends onto C/D: B + C = A and B n C = D."""
+    return (subspace_sum(f.b, g.a) == f.a
+            and subspace_intersect(f.b, g.a) == g.b)
 
 
 def oracle_centralizer(l: LieAlgebra, a: Subspace, b: Subspace,

@@ -242,6 +242,21 @@ def test_cli_jh_all_pairs(capsys, heis_file):
     assert out.count("sigma = id") == 3
 
 
+def test_cli_jh_all_pairs_refuses_too_many_pairs(capsys, monkeypatch):
+    """470 series make 220,900 ordered pairs, over ENUM_COUNT_CAP: exit 3
+    before any pair runs, nothing on stdout, both counts on stderr."""
+    def no_pair(first, second):
+        raise AssertionError("a pair ran before the refusal")
+
+    monkeypatch.setattr("chieflie.cli.jh_permutation", no_pair)
+    code, out, err = run(capsys, "jh", "corpus:random", "--field", "5",
+                         "--dim", "5", "--seed", "1", "--all-pairs")
+    assert (code, out) == (3, "")
+    assert err.splitlines() == [
+        "error: budget exceeded: 470 chief series make 220900 ordered "
+        "pairs, over 120000 (computed count: 220900)"]
+
+
 def test_cli_jh_bad_series(capsys, heis_file):
     # a dim-3 jump is not a chief step
     bad = "[[], [[1,0,0],[0,1,0],[0,0,1]]]"

@@ -4,6 +4,7 @@ import itertools
 import pickle
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chieflie.algebra import LieAlgebra, bracket, subspace_product
 from chieflie.corpus import (abelian, h3_plus_line, heisenberg, nonabelian2,
@@ -17,12 +18,13 @@ from chieflie.factors import (ChiefFactor, MCrossing, chief_factor_catalog,
                               m_crossing_swap, m_related, make_crossing,
                               module_hom_space, supplement_join,
                               supplements_relaxed)
-from chieflie.ideals import all_ideals, chief_series, core, is_chief_pair
+from chieflie.ideals import (IdealLattice, all_ideals, chief_series, core,
+                             ideal_lattice, is_chief_pair)
 from chieflie.linalg import (Matrix, Subspace, rref_rows, subspace_intersect,
                              subspace_leq, subspace_sum)
 from chieflie.maximal import (PrimitiveKind, complements_of, maximal_records,
                               record_for, supplements_of)
-from chieflie.oracle import oracle_subalgebras
+from chieflie.oracle import oracle_descends_to, oracle_subalgebras
 
 SMALL = [heisenberg(2), heisenberg(3), nonabelian2(2), nonabelian2(3),
          r4(2), h3_plus_line(2), abelian(2, 2)]
@@ -230,6 +232,44 @@ def test_descends_to_rejects_mixed_algebras():
     g = chief_factor_catalog(r4(2))[0]
     with pytest.raises(ValueError):
         descends_to(f, g)
+
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_ideal_lattice_matches_sum_meet_and_descent_oracle(data):
+    """On corpus and seeded random solvable algebras: lattice joins and
+    meets of random ideal pairs are the plain sum and meet, a repeated or
+    mirrored query returns the one interned object, and descends_to agrees
+    with the raw sum-and-meet test."""
+    if data.draw(st.booleans()):
+        l = data.draw(st.sampled_from([e.algebra for e in registry()]))
+    else:
+        p = data.draw(st.sampled_from((2, 3, 5)))
+        n = data.draw(st.integers(2, {2: 5, 3: 4, 5: 3}[p]))
+        l = random_solvable(n, p, data.draw(st.integers(0, 10_000)))
+    ideals = all_ideals(l)
+    lattice = IdealLattice()
+    for _ in range(8):
+        u = data.draw(st.sampled_from(ideals))
+        v = data.draw(st.sampled_from(ideals))
+        join, meet = lattice.join(u, v), lattice.meet(u, v)
+        assert join == subspace_sum(u, v)
+        assert meet == subspace_intersect(u, v)
+        assert lattice.join(v, u) is join and lattice.meet(v, u) is meet
+        # rebuilt, equal arguments ask the same table entry
+        copies = [Subspace(s.n, s.p, s.rows) for s in (u, v)]
+        assert lattice.join(*copies) is join
+        assert lattice.meet(*copies) is meet
+        # an equal answer to another question is the same object
+        assert lattice.join(join, meet) is join
+        assert lattice.meet(join, meet) is meet
+    catalog = chief_factor_catalog(l)
+    for _ in range(8):
+        f = data.draw(st.sampled_from(catalog))
+        g = data.draw(st.sampled_from(catalog))
+        assert descends_to(f, g) == oracle_descends_to(f, g)
+        assert descends_to.__wrapped__(f, g) == oracle_descends_to(f, g)
+    assert ideal_lattice(l) is ideal_lattice(l)
 
 
 def test_descent_preserves_abelian_flag_both_ways():
