@@ -58,8 +58,8 @@ class _Parser(argparse.ArgumentParser):
 # -- shared helpers ----------------------------------------------------------
 
 
-def _load_target(args) -> LieAlgebra:
-    """Resolve PATH or corpus:NAME into a validated algebra."""
+def _load_target(args, check: bool = True) -> LieAlgebra:
+    """Resolve PATH or corpus:NAME into an algebra; check validates files."""
     target = args.path
     if target.startswith("corpus:"):
         name = target[len("corpus:"):]
@@ -69,7 +69,7 @@ def _load_target(args) -> LieAlgebra:
             return random_solvable(args.dim, args.field, args.seed)
         return builtin(name, args.field, dim=args.dim)
     try:
-        return load_algebra(target)
+        return load_algebra(target, check=check)
     except OSError as e:
         raise CliInputError(f"cannot read {target}: {e.strerror}")
 
@@ -98,7 +98,7 @@ def _span_list(l: LieAlgebra, vectors) -> Subspace:
     vs = []
     for v in vectors:
         if not isinstance(v, (list, tuple)) or len(v) != l.n or \
-                not all(isinstance(x, int) for x in v):
+                not all(type(x) is int for x in v):
             raise CliInputError(
                 f"each vector must be a list of {l.n} integers, got {v!r}")
         vs.append(tuple(v))
@@ -141,14 +141,7 @@ def _cycle_text(sigma) -> str:
 
 
 def cmd_validate(args) -> int:
-    target = args.path
-    if target.startswith("corpus:"):
-        l = _load_target(args)
-    else:
-        try:
-            l = load_algebra(target, check=False)
-        except OSError as e:
-            raise CliInputError(f"cannot read {target}: {e.strerror}")
+    l = _load_target(args, check=False)
     print(f"field: GF({l.p})")
     print(f"dim: {l.n}")
     report = validate(l)
@@ -236,8 +229,7 @@ def cmd_analyze(args) -> int:
     else:
         print(f"primitivity: type {kind}, core-free maximal of dim "
               f"{prim.witness.dim}")
-    print("chief series dims: " +
-          " ".join(str(t.dim) for t in series.terms))
+    print("chief series dims: " + " ".join(str(t.dim) for t in series.terms))
     for idx, f in enumerate(factors, start=1):
         shape = "abelian" if f.abelian else "nonabelian"
         print(f"  factor {idx}: dim {f.dim}, {shape}, {f.classification}"
@@ -261,8 +253,7 @@ def cmd_chief_series(args) -> int:
         print(json.dumps(doc, indent=2))
     else:
         for idx, s in enumerate(enum.series, start=1):
-            steps = " < ".join(_rows_text(t) if t.dim else "0"
-                               for t in s.terms)
+            steps = " < ".join(_rows_text(t) for t in s.terms)
             print(f"series {idx}: {steps}")
         print(f"total: {len(enum.series)}")
     if enum.truncated:
@@ -436,7 +427,15 @@ def main(argv=None) -> int:
     if _parser is None:
         _parser = build_parser()
     try:
-        args = _parser.parse_args(argv)
+        args, extra = _parser.parse_known_args(argv)
+        # argparse binds jh's optional FIRST and SECOND, empty, together
+        # with PATH, so series given after a flag come back left over.
+        while args.command == "jh" and args.second is None and extra \
+                and not extra[0].startswith("-"):
+            slot = "first" if args.first is None else "second"
+            setattr(args, slot, extra.pop(0))
+        if extra:
+            _parser.error(f"unrecognized arguments: {' '.join(extra)}")
         if getattr(args, "cap", 0) < 0:
             raise CliInputError(f"--cap must be non-negative, got {args.cap}")
         return args.func(args)

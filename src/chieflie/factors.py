@@ -13,11 +13,14 @@ computes both routes independently and refuses to construct a factor where
 they disagree.
 
 The *descent* relation A/B -> C/D (written descends_to) holds when
-A = B + C and B n C = D; the two factors are then isomorphic as modules.  A
-*crossing* is a descent from a Frattini factor onto a supplemented one; its
-factors are forced to be abelian.  Crossings can be swapped: the two
-intermediate quotients A/C and B/D form a crossing again, with B/D picking
-up exactly the supplements of C/D.
+A = B + C and B n C = D; the two factors are then isomorphic as modules.
+For chief factors it is three containments, C <= A, D <= B and C not <= B:
+then B + C is an ideal strictly above B inside A, so it is A, and B n C is
+an ideal strictly below C containing D, so it is D.  A *crossing* is a
+descent from a Frattini factor onto a supplemented one; its factors are
+forced to be abelian.  Crossings can be swapped: the two intermediate
+quotients A/C and B/D form a crossing again, with B/D picking up exactly
+the supplements of C/D.
 
 Two chief factors are *related* when they are tied together by one of four
 witness shapes: a common supplemented ancestor, a crossing hanging below
@@ -34,8 +37,8 @@ from .algebra import (LieAlgebra, ad_matrix, bracket, is_ideal,
                       is_subalgebra, preserves_brackets, quotient_algebra,
                       subspace_product)
 from .errors import VerificationError, require
-from .ideals import (all_ideals, centralizer_of_factor, ideal_lattice,
-                     is_chief_pair, minimal_ideals_over)
+from .ideals import (all_ideals, centralizer_of_factor, is_chief_pair,
+                     minimal_ideals_over)
 from .linalg import (BudgetExceeded, Matrix, Subspace, _hash_once,
                      quotient_coords, rref_rows, solve_linear,
                      subspace_intersect, subspace_leq, subspace_sum)
@@ -155,8 +158,8 @@ def descends_to(f: ChiefFactor, g: ChiefFactor) -> bool:
     """Whether A/B descends onto C/D: A = B + C and B n C = D."""
     if f.algebra != g.algebra:
         raise ValueError("descent relates factors of the same algebra")
-    lat = ideal_lattice(f.algebra)
-    return lat.join(f.b, g.a) == f.a and lat.meet(f.b, g.a) == g.b
+    return (subspace_leq(g.a, f.a) and subspace_leq(g.b, f.b)
+            and not subspace_leq(g.a, f.b))
 
 
 # -- crossings --------------------------------------------------------------

@@ -173,8 +173,8 @@ class IdealLattice:
             return out
 
 
-# The series transfers and descends_to repeat their joins and meets: one
-# seed-0 jh_corpus pass made 34,029 sums of 935 pairs, 12,072 meets of 917.
+# Only the series transfers ask it; without it a seed-0 jh_corpus pass
+# makes 24,482 sums of 576 ideal pairs and 10,787 meets of 550.
 @lru_cache(maxsize=None)
 def ideal_lattice(l: LieAlgebra) -> IdealLattice:
     return IdealLattice()

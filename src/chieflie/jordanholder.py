@@ -117,8 +117,8 @@ def transfer_supplemented(f: ChiefFactor,
     l = f.algebra
     lat = ideal_lattice(l)
     a, b = f.a, f.b
-    sections = [_section_factor(l, lat.join(a, y), lat.join(b, y))
-                for y in series.terms[:-1]]
+    sums = [(lat.join(a, y), lat.join(b, y)) for y in series.terms]
+    sections = [_section_factor(l, *s) for s in sums]
     qualifying = [j for j, s in enumerate(sections, 1) if s and s.supplemented]
     require(bool(qualifying),
             "a supplemented factor must have at least one supplemented sum "
@@ -129,12 +129,11 @@ def transfer_supplemented(f: ChiefFactor,
     series_factor = get_factor(l, x, y)
     require(series_factor.supplemented,
             "series step at the transfer index must be supplemented")
-    sum_middle = get_factor(l, lat.join(a, y), lat.join(b, y))
+    sum_middle = sections[index - 1]
     require(descends_to(sum_middle, f),
             "qualifying sum section must descend onto the input factor")
 
-    ax = lat.join(a, x)
-    bx = lat.join(b, x)
+    ax, bx = sums[index]
     if ax == bx:
         require(ax == sum_middle.a,
                 "collapsed sum over the step top must match the sum over "
@@ -155,13 +154,13 @@ def transfer_supplemented(f: ChiefFactor,
                                     series_factor, sum_middle,
                                     intersection_middle=inter_middle)
 
-    top_factor = _section_factor(l, ax, bx)
+    top_factor = sections[index]
     require(top_factor is not None and top_factor.frattini,
             "first non-qualifying sum section must be a Frattini factor")
     require(is_m_crossing(top_factor, sum_middle),
             "non-qualifying sum section must cross onto the qualifying one")
     crossing = make_crossing(top_factor, sum_middle)
-    upper_link = _section_factor(l, bx, sum_middle.b)
+    upper_link = _section_factor(l, top_factor.b, sum_middle.b)
     require(upper_link is not None and upper_link.supplemented,
             "denominator sum section must be a supplemented factor")
     require(descends_to(upper_link, series_factor),
@@ -209,25 +208,25 @@ def transfer_frattini(f: ChiefFactor, series: ChiefSeries) -> FrattiniTransfer:
     l = f.algebra
     lat = ideal_lattice(l)
     a, b = f.a, f.b
-    sections = (_section_factor(l, lat.meet(a, x), lat.meet(b, x))
-                for x in series.terms[1:])
-    index = next((j for j, s in enumerate(sections, 1) if s and s.frattini),
-                 None)
-    require(index is not None,
+    # Scan up to the first Frattini section, keeping the one below it; the
+    # first term lies inside B, so its section is degenerate and passed.
+    for index, x in enumerate(series.terms):
+        meets = lat.meet(a, x), lat.meet(b, x)
+        inter_middle = _section_factor(l, *meets)
+        if inter_middle and inter_middle.frattini:
+            break
+        (ay, by), bottom_factor = meets, inter_middle
+    require(inter_middle is not None and inter_middle.frattini,
             "a Frattini factor must have at least one Frattini intersection "
             "section (the series ends above its numerator)")
-    x = series.terms[index]
     y = series.terms[index - 1]
     series_factor = get_factor(l, x, y)
     require(series_factor.frattini,
             "series step at the transfer index must be Frattini")
-    inter_middle = get_factor(l, lat.meet(a, x), lat.meet(b, x))
     require(descends_to(f, inter_middle),
             "input factor must descend onto the qualifying intersection "
             "section")
 
-    ay = lat.meet(a, y)
-    by = lat.meet(b, y)
     if ay == by:
         require(ay == inter_middle.b,
                 "collapsed intersection over the step bottom must match the "
@@ -248,7 +247,6 @@ def transfer_frattini(f: ChiefFactor, series: ChiefSeries) -> FrattiniTransfer:
                                 series_factor, inter_middle,
                                 sum_middle=sum_middle)
 
-    bottom_factor = _section_factor(l, ay, by)
     require(bottom_factor is not None and bottom_factor.supplemented,
             "last non-qualifying intersection section must be a "
             "supplemented factor")
@@ -256,7 +254,7 @@ def transfer_frattini(f: ChiefFactor, series: ChiefSeries) -> FrattiniTransfer:
             "qualifying intersection section must cross onto the "
             "non-qualifying one")
     crossing = make_crossing(inter_middle, bottom_factor)
-    lower_link = _section_factor(l, inter_middle.a, ay)
+    lower_link = _section_factor(l, inter_middle.a, bottom_factor.a)
     require(lower_link is not None,
             "numerator intersection section must be a chief factor")
     require(descends_to(series_factor, lower_link),

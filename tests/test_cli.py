@@ -2,6 +2,7 @@
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -269,6 +270,42 @@ def test_cli_jh_bad_series(capsys, heis_file):
     code, _, err = run(capsys, "jh", heis_file)
     assert code == 1
     assert "all-pairs" in err
+
+
+def test_cli_jh_readme_example_with_flags_before_series(capsys):
+    """The README's jh example, run verbatim, gives its series after the
+    flags; it prints what the series-first order prints.  argparse binds
+    the optional series as empty next to PATH, so the CLI has to place
+    series that come after a flag."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    text = readme.read_text(encoding="utf-8").replace("\\\n", "")
+    line = next(s for s in text.splitlines()
+                if s.startswith("chieflie jh corpus:abelian"))
+    argv = shlex.split(line)[1:]
+    series = [a for a in argv if a.startswith("[")]
+    flags = argv[2:argv.index(series[0])]
+    assert argv == ["jh", "corpus:abelian", *flags, *series] and flags
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.startswith("sigma = (1 2)\n")
+    assert run(capsys, "jh", "corpus:abelian", *series, *flags) == \
+        (0, out, "")
+    assert run(capsys, "jh", "corpus:abelian", series[0], *flags,
+               series[1]) == (0, out, "")
+    code, out, err = run(capsys, *argv, "[]")
+    assert (code, out) == (1, "")
+    assert err == "error: unrecognized arguments: []\n"
+
+
+def test_cli_refuses_json_booleans_as_vector_entries(capsys):
+    """JSON true and false are not integers, though Python's bool is."""
+    first = "[[], [[true,false]], [[1,0],[0,1]]]"
+    second = "[[], [[0,1]], [[1,0],[0,1]]]"
+    code, out, err = run(capsys, "jh", "corpus:abelian", first, second,
+                         "--field", "2", "--dim", "2")
+    assert (code, out) == (1, "")
+    assert "each vector must be a list of 2 integers, got [True, False]" \
+        in err
 
 
 def test_cli_corpus_list(capsys):

@@ -234,6 +234,26 @@ def test_descends_to_rejects_mixed_algebras():
         descends_to(f, g)
 
 
+def test_descends_to_matches_oracle_on_every_catalog_pair():
+    """The containment test against the sum-and-meet definition on every
+    ordered catalog pair of the registry and three random solvable
+    algebras over GF(3), GF(2) and GF(5): 7,052 pairs, 652 of them
+    descents between distinct factors."""
+    algebras = [e.algebra for e in registry()] + [
+        random_solvable(5, 3, 43), random_solvable(4, 2, 46),
+        random_solvable(4, 5, 1)]
+    pairs = proper = 0
+    for l in algebras:
+        catalog = chief_factor_catalog(l)
+        for f, g in itertools.product(catalog, repeat=2):
+            expected = oracle_descends_to(f, g)
+            assert descends_to(f, g) == expected, (l, f, g)
+            assert descends_to.__wrapped__(f, g) == expected, (l, f, g)
+            pairs += 1
+            proper += expected and f != g
+    assert (pairs, proper) == (7052, 652)
+
+
 @settings(max_examples=30, derandomize=True, database=None, deadline=None)
 @given(st.data())
 def test_ideal_lattice_matches_sum_meet_and_descent_oracle(data):

@@ -303,18 +303,28 @@ def test_jh_all_pairs_statistics():
         assert got_nonid == nonid, name
 
 
+def _transfer_case_counts(l):
+    """How often each transfer case matches a factor, over all ordered
+    pairs of chief series of l."""
+    series = all_series(l)
+    return dict(Counter(m.transfer.case for xs in series for ys in series
+                        for m in jh_permutation(xs, ys).matches))
+
+
 def test_jh_h3_plus_line_hits_all_transfer_cases():
     # [DERIVED] the central-square algebra is the only built-in whose series
     # pairs reach the crossing-producing transfer cases.
-    l = h3_plus_line(2)
-    series = all_series(l)
-    got = {}
-    for xs in series:
-        for ys in series:
-            for m in jh_permutation(xs, ys).matches:
-                got[m.transfer.case] = got.get(m.transfer.case, 0) + 1
-    assert got == {"sum_collapses": 2169, "intersection_collapses": 711,
-                   "sum_grows": 18, "intersection_grows": 18}
+    assert _transfer_case_counts(h3_plus_line(2)) == {
+        "sum_collapses": 2169, "intersection_collapses": 711,
+        "sum_grows": 18, "intersection_grows": 18}
+
+
+def test_jh_odd_prime_random_hits_all_transfer_cases():
+    # [DERIVED] the same four cases over GF(3): 18 series, 324 pairs.
+    assert len(all_series(random_solvable(5, 3, 43))) == 18
+    assert _transfer_case_counts(random_solvable(5, 3, 43)) == {
+        "sum_collapses": 1272, "intersection_collapses": 300,
+        "sum_grows": 24, "intersection_grows": 24}
 
 
 def test_jh_uniqueness_exhaustive():

@@ -19,7 +19,7 @@ MEMOISED = {
     "ideals.core": "only because the benchmark reads its hit ratio",
     "ideals.minimal_ideals_over": "ideal and series searches; 2,599 on rs",
     "ideals.is_chief_pair": "factor and series checks; 12,280 hits on jh",
-    "ideals.ideal_lattice": "transfers and descents; 7,032 hits on jh",
+    "ideals.ideal_lattice": "the series transfers; 2,673 hits on jh",
     "maximal.is_maximal": "criterion 5, 8,446 hits; 19-22 s without, not 6 s",
     "maximal.algebra_isomorphisms": "criterion 5, 240 hits; 2 on cli",
     "maximal.maximal_subalgebras": "supplement scans; 1,755 hits on rs",
