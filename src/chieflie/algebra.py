@@ -209,10 +209,6 @@ class QuotientPresentation:
     def lift(self, q: Vector) -> Vector:
         return self.coords.lift(q)
 
-    def project_subspace(self, u: Subspace) -> Subspace:
-        rows = [self.project(r) for r in u.rows]
-        return Subspace(self.algebra.n, self.parent.p, rows)
-
     def preimage_subspace(self, q: Subspace) -> Subspace:
         rows = [self.lift(r) for r in q.rows] + list(self.ideal.rows)
         return Subspace(self.parent.n, self.parent.p, rows)

@@ -37,8 +37,8 @@ from .algebra import (LieAlgebra, ad_matrix, bracket, is_ideal,
                       is_subalgebra, preserves_brackets, quotient_algebra,
                       subspace_product)
 from .errors import VerificationError, require
-from .ideals import (all_ideals, centralizer_of_factor, is_chief_pair,
-                     minimal_ideals_over)
+from .ideals import (all_ideals, centralizer_of_factor, ideal_lattice,
+                     is_chief_pair, minimal_ideals_over)
 from .linalg import (BudgetExceeded, Matrix, Subspace, _hash_once,
                      quotient_coords, rref_rows, solve_linear,
                      subspace_intersect, subspace_leq, subspace_sum)
@@ -108,7 +108,7 @@ def get_factor(l: LieAlgebra, a: Subspace, b: Subspace) -> ChiefFactor:
         raise ValueError(
             f"not a chief factor: a {between.dim}-dimensional ideal sits "
             f"strictly between the endpoints")
-    abelian = subspace_leq(subspace_product(l, a, a), b)
+    abelian = subspace_leq(ideal_lattice(l).per_ideal(_derived, a), b)
     supps = supplements_of(l, a, b)
     comps = complements_among(a, b, supps)
     frat = is_frattini_factor(l, a, b)
@@ -117,6 +117,10 @@ def get_factor(l: LieAlgebra, a: Subspace, b: Subspace) -> ChiefFactor:
             "Frattini flag and maximal-supplement search disagree")
     return ChiefFactor(l, a, b, abelian, frat, bool(supps), bool(comps),
                        supps, comps)
+
+
+def _derived(l: LieAlgebra, u: Subspace) -> Subspace:
+    return subspace_product(l, u, u)
 
 
 @lru_cache(maxsize=None)

@@ -12,14 +12,18 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 
 from .algebra import LieAlgebra, ad_matrix, is_ideal, subspace_product
-from .linalg import (Subspace, _hash_once, quotient_coords, spin,
-                     subspace_intersect, subspace_leq, subspace_sum)
+from .linalg import (BudgetExceeded, Subspace, _hash_once, quotient_coords,
+                     spin, subspace_intersect, subspace_leq, subspace_sum)
 
 # Scans of more lines than this spin only an ad x Fitting cover's lines
 # (_direction_lifts).  Choosing x costs more than a short scan saves: at 0,
 # a random_solvable pass (scans of at most 121 lines) took 5.6 s, not 3.8 s
 # (2-vCPU VM); sl2sum(5)'s 3,906-line scan restricts to 14 lines.
 RESTRICT_ABOVE_LINES = 200
+# Cap on the direction lines all_ideals' searches close.  abelian(5, 3)
+# needs 25,652 and random_solvable(7, 5, 0) 16,640; abelian(5, 5), at
+# 874,720, closes about 10,000 a second.
+IDEAL_SCAN_CAP = 30_000
 
 
 def ideal_closure(l: LieAlgebra, seed: Subspace,
@@ -115,12 +119,10 @@ def is_solvable(l: LieAlgebra) -> bool:
 @lru_cache(maxsize=None)
 def is_chief_pair(l: LieAlgebra, a: Subspace, b: Subspace) -> bool:
     """A/B is a chief factor: both ideals, B < A, nothing of L strictly
-    between, that is A is a minimal ideal over B."""
-    if not (subspace_leq(b, a) and b.dim < a.dim):
-        return False
-    if not (is_ideal(l, a) and is_ideal(l, b)):
-        return False
-    return a in minimal_ideals_over(l, b)
+    between, that is A is a minimal ideal over B.  Membership makes A an
+    ideal with B < A, so only B is tested, first, as the search needs."""
+    return (ideal_lattice(l).per_ideal(is_ideal, b)
+            and a in minimal_ideals_over(l, b))
 
 
 def _direction_lifts(l: LieAlgebra, b: Subspace):
@@ -137,12 +139,26 @@ def _direction_lifts(l: LieAlgebra, b: Subspace):
     return qc.line_lifts(min(covers, key=qc.line_count))
 
 
+def _direction_lines(l: LieAlgebra, b: Subspace) -> int:
+    """How many lines _direction_lifts spins over the ideal B."""
+    lines = (l.p ** (l.n - b.dim) - 1) // (l.p - 1)
+    return lines if lines <= RESTRICT_ABOVE_LINES else \
+        sum(1 for _ in _direction_lifts(l, b))
+
+
 def all_ideals(l: LieAlgebra) -> tuple[Subspace, ...]:
-    """Every ideal, by breadth-first growth through minimal overideals."""
+    """Every ideal, by growth through minimal overideals; refuses
+    (BudgetExceeded) before its searches close IDEAL_SCAN_CAP lines."""
     seen = {l.zero_space}
     queue = [l.zero_space]
+    lines = 0
     while queue:
         cur = queue.pop()
+        lines += _direction_lines(l, cur)
+        if lines > IDEAL_SCAN_CAP:
+            raise BudgetExceeded(
+                f"ideal enumeration past {len(seen)} ideals would close "
+                f"{lines} direction lines, over cap {IDEAL_SCAN_CAP}", lines)
         for nxt in minimal_ideals_over(l, cur):
             if nxt not in seen:
                 seen.add(nxt)
@@ -151,11 +167,23 @@ def all_ideals(l: LieAlgebra) -> tuple[Subspace, ...]:
 
 
 class IdealLattice:
-    """Joins and meets of ideals of one algebra (unchecked), each pair
-    computed once and each result interned: equal answers are one object."""
+    """Answers about the ideals of one algebra L (unchecked), each computed
+    once: joins and meets of pairs, each result interned (equal answers are
+    one object), and per_ideal answers such as is_ideal or a Frattini
+    preimage."""
 
-    def __init__(self):
-        self._ideals, self._joins, self._meets = {}, {}, {}
+    def __init__(self, l: LieAlgebra):
+        self.l = l
+        self._ideals, self._joins, self._meets, self._answers = {}, {}, {}, {}
+
+    def per_ideal(self, fn, u: Subspace):
+        """fn(L, U), computed once per function and U."""
+        table = self._answers.setdefault(fn, {})
+        try:
+            return table[u]
+        except KeyError:
+            out = table[u] = fn(self.l, u)
+            return out
 
     def join(self, u: Subspace, v: Subspace) -> Subspace:
         return self._ask(self._joins, subspace_sum, u, v)
@@ -173,11 +201,11 @@ class IdealLattice:
             return out
 
 
-# Only the series transfers ask it; without it a seed-0 jh_corpus pass
-# makes 24,482 sums of 576 ideal pairs and 10,787 meets of 550.
+# Without its joins and meets a seed-0 jh_corpus pass makes 24,482 sums of
+# 576 ideal pairs and 10,787 meets of 550.
 @lru_cache(maxsize=None)
 def ideal_lattice(l: LieAlgebra) -> IdealLattice:
-    return IdealLattice()
+    return IdealLattice(l)
 
 
 # ---------------------------------------------------------------------------

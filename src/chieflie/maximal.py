@@ -39,8 +39,8 @@ from .algebra import (LieAlgebra, bracket, is_ideal, is_subalgebra,
                       preserves_brackets, quotient_algebra, restrict_algebra,
                       ad_matrix, subspace_product)
 from .errors import VerificationError, require
-from .ideals import (core, centralizer, is_chief_pair, minimal_ideals,
-                     subalgebra_closure)
+from .ideals import (core, centralizer, ideal_lattice, is_chief_pair,
+                     minimal_ideals, subalgebra_closure)
 from .linalg import (ENUM_COUNT_CAP, BudgetExceeded, Matrix, Subspace,
                      count_subspaces, enumerate_subspaces, nonzero_directions,
                      quotient_coords, rref_rows, solve_linear,
@@ -298,11 +298,16 @@ def frattini(l: LieAlgebra) -> Subspace:
 
 
 def is_frattini_factor(l: LieAlgebra, a: Subspace, b: Subspace) -> bool:
-    """Whether the chief factor A/B sits inside the Frattini subalgebra of L/B."""
+    """Whether the chief factor A/B sits inside the Frattini subalgebra of
+    L/B: A <= the preimage of Phi(L/B), taken once per B."""
     if not is_chief_pair(l, a, b):
         raise ValueError("is_frattini_factor requires a chief factor")
+    return subspace_leq(a, ideal_lattice(l).per_ideal(_frattini_preimage, b))
+
+
+def _frattini_preimage(l: LieAlgebra, b: Subspace) -> Subspace:
     q = quotient_algebra(l, b)
-    return subspace_leq(q.project_subspace(a), frattini(q.algebra))
+    return q.preimage_subspace(frattini(q.algebra))
 
 
 # -- supplements and complements by maximal subalgebras ---------------------
@@ -312,13 +317,23 @@ def supplements_of(l: LieAlgebra, a: Subspace, b: Subspace) -> tuple[Subspace, .
     """Maximal subalgebras M with L = A + M and B <= M, for an ideal A.
 
     A + M is then a subalgebra containing M, so it is L exactly when A is
-    not inside M: containment tests, no sum."""
+    not inside M: the maximals whose bit is set in B's containment mask and
+    clear in A's, no sum."""
     if not subspace_leq(b, a):
         raise ValueError("supplements_of requires b <= a")
-    if not is_ideal(l, a):
+    lat = ideal_lattice(l)
+    if not lat.per_ideal(is_ideal, a):
         raise ValueError("supplements_of requires an ideal a")
-    return tuple(m for m in maximal_subalgebras(l)
-                 if subspace_leq(b, m) and not subspace_leq(a, m))
+    bits = lat.per_ideal(_containment_mask, b) & \
+        ~lat.per_ideal(_containment_mask, a)
+    return tuple(m for i, m in enumerate(maximal_subalgebras(l))
+                 if bits >> i & 1)
+
+
+def _containment_mask(l: LieAlgebra, u: Subspace) -> int:
+    """Bit i set when U <= the i-th maximal subalgebra."""
+    return sum(1 << i for i, m in enumerate(maximal_subalgebras(l))
+               if subspace_leq(u, m))
 
 
 def complements_of(l: LieAlgebra, a: Subspace, b: Subspace) -> tuple[Subspace, ...]:

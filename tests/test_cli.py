@@ -5,6 +5,7 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -256,6 +257,24 @@ def test_cli_jh_all_pairs_refuses_too_many_pairs(capsys, monkeypatch):
     assert err.splitlines() == [
         "error: budget exceeded: 470 chief series make 220900 ordered "
         "pairs, over 120000 (computed count: 220900)"]
+
+
+def test_cli_jh_refuses_an_unbounded_ideal_enumeration(capsys):
+    """abelian(5, 5) has 42,176 ideals.  Matching the coordinate flag with
+    itself asks the chief-factor catalog, whose ideal enumeration refuses
+    once its searches would close 30,000 direction lines (of 874,720):
+    exit 3 within seconds, nothing on stdout, both counts on stderr."""
+    flag = json.dumps([[[int(i == j) for j in range(5)] for i in range(k)]
+                       for k in range(6)])
+    start = time.perf_counter()
+    code, out, err = run(capsys, "jh", "corpus:abelian", "--field", "5",
+                         "--dim", "5", flag, flag)
+    assert time.perf_counter() - start < 30
+    assert (code, out) == (3, "")
+    assert err.splitlines() == [
+        "error: budget exceeded: ideal enumeration past 4011 ideals would "
+        "close 30020 direction lines, over cap 30000 (computed count: "
+        "30020)"]
 
 
 def test_cli_jh_bad_series(capsys, heis_file):

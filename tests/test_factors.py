@@ -6,7 +6,9 @@ import pickle
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chieflie.algebra import LieAlgebra, bracket, subspace_product
+from chieflie import maximal as maximal_module
+from chieflie.algebra import (LieAlgebra, bracket, quotient_algebra,
+                              subspace_product)
 from chieflie.corpus import (abelian, h3_plus_line, heisenberg, nonabelian2,
                              r4, random_solvable, registry, sl2, sl2sum)
 from chieflie.errors import VerificationError
@@ -22,9 +24,11 @@ from chieflie.ideals import (IdealLattice, all_ideals, chief_series, core,
                              ideal_lattice, is_chief_pair)
 from chieflie.linalg import (Matrix, Subspace, rref_rows, subspace_intersect,
                              subspace_leq, subspace_sum)
-from chieflie.maximal import (PrimitiveKind, complements_of, maximal_records,
+from chieflie.maximal import (PrimitiveKind, complements_of, frattini,
+                              maximal_records, maximal_subalgebras,
                               record_for, supplements_of)
-from chieflie.oracle import oracle_descends_to, oracle_subalgebras
+from chieflie.oracle import (oracle_descends_to, oracle_subalgebras,
+                             oracle_supplements)
 
 SMALL = [heisenberg(2), heisenberg(3), nonabelian2(2), nonabelian2(3),
          r4(2), h3_plus_line(2), abelian(2, 2)]
@@ -268,7 +272,7 @@ def test_ideal_lattice_matches_sum_meet_and_descent_oracle(data):
         n = data.draw(st.integers(2, {2: 5, 3: 4, 5: 3}[p]))
         l = random_solvable(n, p, data.draw(st.integers(0, 10_000)))
     ideals = all_ideals(l)
-    lattice = IdealLattice()
+    lattice = IdealLattice(l)
     for _ in range(8):
         u = data.draw(st.sampled_from(ideals))
         v = data.draw(st.sampled_from(ideals))
@@ -870,3 +874,61 @@ def test_catalog_classification_matches_maximal_scans():
             assert f.complemented == bool(f.complements)
         for rec in maximal_records(l):
             assert rec.core == core(l, rec.subalgebra)
+
+
+def _assert_catalog_matches_slow_paths(l):
+    """Every catalog factor's supplements, abelian flag and Frattini flag,
+    read from the ideal lattice's per-ideal answers, are what the per-factor
+    formulas give: the sum test over all maximals, [A, A] <= B, and the
+    image of A inside Phi(L/B)."""
+    pool = maximal_subalgebras(l)
+    for f in chief_factor_catalog(l):
+        a, b = f.a, f.b
+        assert f.supplements == oracle_supplements(l, a, b, pool)
+        assert f.abelian == subspace_leq(subspace_product(l, a, a), b)
+        q = quotient_algebra(l, b)
+        image = Subspace(q.algebra.n, l.p, [q.project(r) for r in a.rows])
+        assert f.frattini == subspace_leq(image, frattini(q.algebra))
+
+
+def test_corpus_catalog_classification_matches_slow_paths():
+    # sl2(5) and sl2sum(5) hold the nonabelian factors: every factor of a
+    # solvable algebra is abelian
+    for e in registry():
+        _assert_catalog_matches_slow_paths(e.algebra)
+
+
+@settings(max_examples=6, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_catalog_classification_matches_slow_paths(data):
+    """_assert_catalog_matches_slow_paths on seeded random solvable
+    algebras of dimensions 6 and 5."""
+    if data.draw(st.booleans()):
+        l = random_solvable(6, data.draw(st.sampled_from((3, 5))),
+                            data.draw(st.integers(0, 10_000)))
+    else:
+        l = random_solvable(5, data.draw(st.sampled_from((2, 3, 5))),
+                            data.draw(st.integers(0, 10_000)))
+    _assert_catalog_matches_slow_paths(l)
+
+
+@pytest.mark.parametrize("route", ["containment mask", "Frattini preimage"])
+def test_get_factor_refuses_a_corrupted_lattice_entry(route):
+    """The supplements read the lattice's containment masks and the
+    Frattini flag its Frattini preimages, two independent routes: making
+    one lattice entry wrong makes them disagree, and get_factor refuses."""
+    l = heisenberg(2)
+    a, b = l.full, span(l, (1, 0, 0), (0, 0, 1))
+    assert get_factor(l, a, b).supplemented
+    fn, wrong = {"containment mask": (maximal_module._containment_mask, 0),
+                 "Frattini preimage": (maximal_module._frattini_preimage,
+                                       l.full)}[route]
+    table = ideal_lattice(l)._answers[fn]
+    saved = table[b]
+    table[b] = wrong
+    try:
+        with pytest.raises(VerificationError, match="disagree"):
+            get_factor.__wrapped__(l, a, b)
+    finally:
+        table[b] = saved
+    assert get_factor.__wrapped__(l, a, b) == get_factor(l, a, b)

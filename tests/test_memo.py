@@ -19,11 +19,11 @@ MEMOISED = {
     "ideals.core": "only because the benchmark reads its hit ratio",
     "ideals.minimal_ideals_over": "ideal and series searches; 2,599 on rs",
     "ideals.is_chief_pair": "factor and series checks; 12,280 hits on jh",
-    "ideals.ideal_lattice": "the series transfers; 2,673 hits on jh",
+    "ideals.ideal_lattice": "per-ideal answers, transfers; 6,118 hits on rs",
     "maximal.is_maximal": "criterion 5, 8,446 hits; 19-22 s without, not 6 s",
     "maximal.algebra_isomorphisms": "criterion 5, 240 hits; 2 on cli",
-    "maximal.maximal_subalgebras": "supplement scans; 1,755 hits on rs",
-    "maximal.frattini": "is_frattini_factor's quotients; 1,332 hits on rs",
+    "maximal.maximal_subalgebras": "containment masks; 2,436 hits on rs",
+    "maximal.frattini": "one Frattini preimage per denominator; 518 on rs",
     "maximal.maximal_records": "record_for, criterion 5, 266 hits; 11 on cli",
     "maximal.record_for": "criterion 5's supplement joins, 8,446 hits",
     "factors.get_factor": "transfers and relatedness; 42,027 hits on jh",
