@@ -7,6 +7,7 @@ the Jacobi identity and reports the first violating basis triple.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property, lru_cache
 
@@ -148,9 +149,11 @@ def check_valid(l: LieAlgebra) -> None:
 
 
 def subspace_product(l: LieAlgebra, u: Subspace, v: Subspace) -> Subspace:
-    """[U, V]: span of all brackets of basis elements."""
-    prods = [bracket(l, a, b) for a in u.rows for b in v.rows]
-    return Subspace(l.n, l.p, prods)
+    """[U, V]: span of all brackets of basis elements; for [U, U] only the
+    pairs i < j, since [a, a] = 0 and [b, a] = -[a, b]."""
+    pairs = itertools.combinations(u.rows, 2) if u == v else \
+        itertools.product(u.rows, v.rows)
+    return Subspace(l.n, l.p, [bracket(l, a, b) for a, b in pairs])
 
 
 def is_subalgebra(l: LieAlgebra, u: Subspace) -> bool:
@@ -221,12 +224,15 @@ def quotient_algebra(l: LieAlgebra, ideal: Subspace) -> QuotientPresentation:
     qc = quotient_coords(l.full, ideal)
     k = qc.dim
     lifts = [qc.lift(unit(i, k)) for i in range(k)]
-    sc = tuple(tuple(qc.project(bracket(l, lifts[i], lifts[j]))
-                     for j in range(k)) for i in range(k))
+    # [x_i, x_i] = 0 and [x_j, x_i] = -[x_i, x_j]: bracket only i < j
+    sc = [[(0,) * k] * k for _ in range(k)]
+    for i, j in itertools.combinations(range(k), 2):
+        c = sc[i][j] = qc.project(bracket(l, lifts[i], lifts[j]))
+        sc[j][i] = tuple([-x % l.p for x in c])
     labels = None
     if l.labels and ideal.dim == 0:
         labels = l.labels
-    q = LieAlgebra(k, l.p, sc, labels)
+    q = LieAlgebra(k, l.p, tuple(map(tuple, sc)), labels)
     check_valid(q)
     return QuotientPresentation(l, ideal, q, qc)
 

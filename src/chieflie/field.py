@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 SUPPORTED_PRIMES = (2, 3, 5, 7, 11, 13)
-# Lane counts whose masks a PrimeField builds up front (see lanes()).
-LANE_TABLE = 32
 
 
 class FieldMismatchError(ValueError):
@@ -30,7 +28,7 @@ def prime_field(p: int) -> "PrimeField":
 class PrimeField:
     """GF(p) with elements represented canonically as residues in [0, p)."""
 
-    __slots__ = ("p", "inv_table", "w", "steps", "_masks")
+    __slots__ = ("p", "inv_table", "w", "steps", "kernels")
 
     def __init__(self, p: int):
         if p not in SUPPORTED_PRIMES:
@@ -45,14 +43,12 @@ class PrimeField:
         qs = [p << t for t in range((p - 1).bit_length() - 1, -1, -1)] if p > 2 else []
         self.w = qs[0].bit_length() + 1 if qs else 1
         self.steps = tuple((q, (1 << self.w - 1) - q) for q in qs)
-        self._masks = ()
-        self._masks = tuple(map(self.lanes, range(LANE_TABLE + 1)))
+        # linalg's elimination pair per lane count, built on first use.
+        self.kernels = {}
 
     def lanes(self, count: int) -> tuple:
         """(H, ((q, K), ...)) over count lanes: H holds every lane's top bit
         and K each step's 2^(w-1) - q in every lane."""
-        if count < len(self._masks):
-            return self._masks[count]
         ones = ((1 << self.w * count) - 1) // ((1 << self.w) - 1)
         return ones << self.w - 1, tuple((q, k * ones) for q, k in self.steps)
 

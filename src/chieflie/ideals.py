@@ -12,13 +12,15 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 
 from .algebra import LieAlgebra, ad_matrix, is_ideal, subspace_product
-from .linalg import (BudgetExceeded, Subspace, _hash_once, quotient_coords,
-                     spin, subspace_intersect, subspace_leq, subspace_sum)
+from .linalg import (BudgetExceeded, Subspace, _hash_once, _pack,
+                     quotient_coords, spin, subspace_intersect, subspace_leq,
+                     subspace_sum)
 
 # Scans of more lines than this spin only an ad x Fitting cover's lines
 # (_direction_lifts).  Choosing x costs more than a short scan saves: at 0,
-# a random_solvable pass (scans of at most 121 lines) took 5.6 s, not 3.8 s
-# (2-vCPU VM); sl2sum(5)'s 3,906-line scan restricts to 14 lines.
+# a seed-0 random_solvable pass (scans of at most 121 lines) took 1.8-2.1 s,
+# not 0.6-0.8 s (in-process, 2-vCPU Xeon VM, Python 3.11, October 2026);
+# sl2sum(5)'s 3,906-line scan restricts to 14 lines.
 RESTRICT_ABOVE_LINES = 200
 # Cap on the direction lines all_ideals' searches close.  abelian(5, 3)
 # needs 25,652 and random_solvable(7, 5, 0) 16,640; abelian(5, 5), at
@@ -33,7 +35,7 @@ def ideal_closure(l: LieAlgebra, seed: Subspace,
     ideal (unchecked), so it is never spun."""
     if (seed.n, seed.p) != (l.n, l.p):
         raise ValueError(f"seed lies in GF({seed.p})^{seed.n}, not in L")
-    out = spin(seed, l.ad_maps, base)
+    out = spin(l.ad_maps, seed._basis, base)
     return l.full if out.dim == l.n else out
 
 
@@ -78,7 +80,14 @@ def minimal_ideals_over(l: LieAlgebra, b: Subspace,
 
     Every candidate arises as the ideal closure of B plus a single direction,
     so closing over all coset directions and keeping the inclusion-minimal
-    results is exhaustive.
+    results is exhaustive.  A line's spin stops as soon as its span holds
+    the seed line of a closure C kept earlier: C then lies in this closure,
+    which is C again or not minimal.  No minimal N is lost: the first line
+    of N to be spun spans only inside N, so a seed it swallowed would close
+    to N itself, and so be an earlier line of N.  Every closure that is not
+    minimal contains a minimal one, which is kept, so filtering the kept
+    closures gives the answer of all of them.  A span of dim B + 1 is
+    B + <v> and holds no other line's seed, so it is not tested.
     """
     if not is_ideal(l, b):
         raise ValueError("base of minimal_ideals_over must be an ideal")
@@ -87,8 +96,13 @@ def minimal_ideals_over(l: LieAlgebra, b: Subspace,
             raise ValueError("within must contain the base ideal")
         return tuple(a for a in minimal_ideals_over(l, b)
                      if subspace_leq(a, within))
-    closures = {ideal_closure(l, Subspace(l.n, l.p, (v,)), b)
-                for v in _direction_lifts(l, b)}
+    seeds, closures = [], set()
+    for v in _direction_lifts(l, b):
+        v = _pack(v, l.p)
+        c = spin(l.ad_maps, (v,), b, seeds)
+        if c is not None:
+            seeds.append(v)
+            closures.add(c)
     mins = [c for c in closures if not any(
         o.dim < c.dim and subspace_leq(o, c) for o in closures)]
     return tuple(sorted(mins, key=Subspace.key))

@@ -122,13 +122,16 @@ def _folder(w: int, masks):
 
 
 def _pair(p: int, lanes: int):
-    """(residue, add) on packed vectors of GF(p)^lanes.  residue(basis, v)
-    is v reduced modulo a basis kept by add, 0 if v lies in its span;
-    add(basis, v) appends that residue, normalised and cleared out of the
-    other rows, and returns it."""
+    """(residue, add) on packed vectors of GF(p)^lanes, built once per
+    (p, lanes) and kept on the field.  residue(basis, v) is v reduced
+    modulo a basis kept by add, 0 if v lies in its span; add(basis, v)
+    appends that residue, normalised and cleared out of the other rows,
+    and returns it."""
     if p == 2:
         return _gf2_residue, _gf2_add
     field = prime_field(p)
+    if lanes in field.kernels:
+        return field.kernels[lanes]
     w, inv = field.w, field.inv_table
     fold = _folder(w, field.lanes(lanes))
     low = (1 << w) - 1
@@ -154,6 +157,7 @@ def _pair(p: int, lanes: int):
             basis.append(v)
         return v
 
+    field.kernels[lanes] = residue, add
     return residue, add
 
 
@@ -337,7 +341,16 @@ class PackedMaps:
         self.p = p
         self.columns = tuple([_pack([x for f in maps for x in f[j]], p)
                               for j in range(n - 1, -1, -1)])
-        self._masks = prime_field(p).lanes(n * n)
+
+    @cached_property
+    def _fold(self):
+        """images' lane reduction, built once per maps."""
+        field = prime_field(self.p)
+        return _folder(field.w, field.lanes(self.n * self.n))
+
+    def __getstate__(self):
+        # the fold is a closure, so a copy rebuilds it on first use
+        return {k: v for k, v in self.__dict__.items() if k != "_fold"}
 
     def images(self, v: int) -> list[int]:
         """The packed f_0(v), ..., f_{n-1}(v) of a packed v."""
@@ -349,7 +362,7 @@ class PackedMaps:
                 if v >> b & 1:
                     acc ^= col
         else:
-            fold = _folder(w, self._masks)
+            fold = self._fold
             for b, col in enumerate(self.columns):
                 c = v >> b * w & low
                 if c:
@@ -374,20 +387,24 @@ class PackedMaps:
         return Subspace._of(n, p, [m for m in basis if not m >> s])
 
 
-def spin(seed: Subspace, maps: PackedMaps,
-         base: Subspace | None = None) -> Subspace:
-    """The smallest subspace containing seed and base that maps sends into
-    itself.  base must already be invariant (unchecked), so only the rows
-    new to the span are mapped."""
-    n, p = seed.n, seed.p
-    add = _pair(p, n)[1]
+def spin(maps: PackedMaps, vectors, base: Subspace | None = None,
+         stop=()) -> Subspace | None:
+    """The smallest subspace containing the packed vectors and base that
+    maps sends into itself.  base must already be invariant (unchecked), so
+    only the rows new to the span are mapped.  None as soon as the span,
+    grown past one dimension over base, contains a packed vector of stop."""
+    n, p = maps.n, maps.p
+    residue, add = _pair(p, n)
     basis = [] if base is None else list(base._basis)
-    todo, fresh = list(seed._basis), []
+    floor = len(basis) + 1
+    todo, fresh = list(vectors), []
     while len(basis) < n and (todo or fresh):
         if not todo:
             todo = maps.images(fresh.pop())
         v = add(basis, todo.pop())
         if v:
+            if len(basis) > floor and not all(residue(basis, s) for s in stop):
+                return None
             fresh.append(v)
     return Subspace._of(n, p, basis)
 

@@ -2,14 +2,17 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chieflie.algebra import (LieAlgebra, ValidationError, ad_matrix, bracket,
                               check_valid, derivation_space, direct_sum,
                               extend_by_derivation, is_ideal, is_subalgebra,
                               quotient_algebra, restrict_algebra, semidirect,
                               subspace_product, validate)
-from chieflie.corpus import abelian, heisenberg, nonabelian2, r4, sl2, sl2sum
+from chieflie.corpus import (abelian, heisenberg, nonabelian2, r4,
+                             random_solvable, sl2, sl2sum)
 from chieflie.fileio import format_algebra, parse_algebra
+from chieflie.ideals import all_ideals
 from chieflie.linalg import Matrix, Subspace, rref_rows, vec_add
 
 
@@ -139,6 +142,24 @@ def test_derived_subspace_products():
 
     s = sl2(5)
     assert subspace_product(s, s.full, s.full).dim == 3  # perfect
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_antisymmetric_products_match_all_pairs(data):
+    """[U, U] and a quotient's tensor, which bracket only pairs i < j,
+    equal the span of all ordered pairs and the tensor of all of them."""
+    p = data.draw(st.sampled_from((2, 3, 5)))
+    l = random_solvable(data.draw(st.integers(2, 5)), p,
+                        data.draw(st.integers(0, 10_000)))
+    vec = st.tuples(*[st.integers(0, p - 1)] * l.n)
+    u = Subspace(l.n, p, data.draw(st.lists(vec, max_size=4)))
+    assert subspace_product(l, u, u) == Subspace(
+        l.n, p, [bracket(l, a, b) for a in u.rows for b in u.rows])
+    q = quotient_algebra(l, data.draw(st.sampled_from(all_ideals(l))))
+    lifts = [q.lift(e) for e in Subspace.full(q.algebra.n, p).rows]
+    assert q.algebra.sc == tuple(tuple(q.project(bracket(l, a, b))
+                                       for b in lifts) for a in lifts)
 
 
 def test_is_subalgebra_and_ideal():

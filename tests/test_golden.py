@@ -1,0 +1,96 @@
+"""Golden stdout digests of CLI reports.
+
+Each entry runs one `chieflie` command in-process and compares the sha256
+of its stdout with the digest of the same command at an earlier revision,
+so a change that is meant to keep reports byte-identical is checked
+without a second checkout.  A digest changes only when a report is meant
+to change; replace it then, and say why in the commit.
+"""
+
+import contextlib
+import hashlib
+import io
+
+from chieflie.cli import main
+
+# `chief-series` on the jh_corpus algebras (every registry entry with
+# n <= 4 and p <= 3) and on one GF(5) draw past the workloads; `jh
+# --all-pairs`, text and structured, on the same algebras and two draws.
+GOLDEN = (
+    ("chief-series corpus:abelian --field 2 --dim 2",
+     "d4db2314ec68594b489d76770138cae8320f2e01aa887669aef00d7df43df7b4"),
+    ("chief-series corpus:abelian --field 2 --dim 3",
+     "a32a06c3bd69fd6329490911ea2af556df33689c9e53287c623451604c045467"),
+    ("chief-series corpus:abelian --field 3 --dim 2",
+     "598f3be776eb7981ffc9154643532095643abc8b9801d4470c9b07cc38c8f490"),
+    ("chief-series corpus:nonabelian2 --field 2",
+     "e6f5f701d108d6c037356f05b78bd8ccfdb35e5173661abe9f727bdd48557d7c"),
+    ("chief-series corpus:nonabelian2 --field 3",
+     "e6f5f701d108d6c037356f05b78bd8ccfdb35e5173661abe9f727bdd48557d7c"),
+    ("chief-series corpus:heisenberg --field 2",
+     "cd4bcf277e74426a7502e08abf636cb97b571f6591b82cad043024472d8d91dd"),
+    ("chief-series corpus:heisenberg --field 3",
+     "b318112c7aae049f43018f6fdf271f490283558eabeb0fcef5cf6e5336290c03"),
+    ("chief-series corpus:r4 --field 2",
+     "8edd2c153f51c83f19371a5d241fee6786bf25b91dab7fb73f287301bcfb1543"),
+    ("chief-series corpus:h3_plus_line --field 2",
+     "6fdc086939ce89cd5c97daa19376335288a2c9e15cd03d9c1fc24699b8af0b56"),
+    ("chief-series corpus:random --field 5 --dim 6 --seed 1",
+     "809726159751f38e8ea6d46d21555fc694133359ef1188316d62d7ab661970c7"),
+    ("jh corpus:abelian --field 2 --dim 2 --all-pairs --format text",
+     "08f7cc55d5074784cb1e5969aa4f54fdb140a156155ea2d20ae6c4c846d26b29"),
+    ("jh corpus:abelian --field 2 --dim 2 --all-pairs --format structured",
+     "b9df1dc25a57822f6d2ea7662698b3429d64b06093095f94c3d6a48098936766"),
+    ("jh corpus:abelian --field 2 --dim 3 --all-pairs --format text",
+     "ec22a734291e034dde9618ca8cdcec6e8d1910b1927aaa08bbc82670ab38c9aa"),
+    ("jh corpus:abelian --field 2 --dim 3 --all-pairs --format structured",
+     "476c260d424e100fce72ba110bc051160648334a374aea852722102f9e481d2b"),
+    ("jh corpus:abelian --field 3 --dim 2 --all-pairs --format text",
+     "82e787638362a51fc2a33593206d09ea77d32a888ae5df38721c7765a262d880"),
+    ("jh corpus:abelian --field 3 --dim 2 --all-pairs --format structured",
+     "e8921f3e800e8193ceb7fcf5c906009efe477521fe4c10988e20f640685d36ae"),
+    ("jh corpus:nonabelian2 --field 2 --all-pairs --format text",
+     "64d053777f6a102349140d2be33dd3b46d991a7f59ac09b87ac9ee56ff4dd488"),
+    ("jh corpus:nonabelian2 --field 2 --all-pairs --format structured",
+     "f3673f21b262b334cc9ab51d4315891d26d1868a3c154e94f30bb54736410785"),
+    ("jh corpus:nonabelian2 --field 3 --all-pairs --format text",
+     "64d053777f6a102349140d2be33dd3b46d991a7f59ac09b87ac9ee56ff4dd488"),
+    ("jh corpus:nonabelian2 --field 3 --all-pairs --format structured",
+     "d9ff1b622390e049665f0b35d45a0c29ae2d8fdef8eb236a07020dc1c5625ef1"),
+    ("jh corpus:heisenberg --field 2 --all-pairs --format text",
+     "ab866956986d836b78de2834da09946ec12e76a4dfd5f4f72b4481e4f928c7f8"),
+    ("jh corpus:heisenberg --field 2 --all-pairs --format structured",
+     "72d208af883f78fc631bb30e943c4506983c1fb50696f8ace3f35d77f761e9e4"),
+    ("jh corpus:heisenberg --field 3 --all-pairs --format text",
+     "cb55b13dc16bcc0ce74b9b1e6024b5472932d1c5fef0c73e65a9c1d53957ae6e"),
+    ("jh corpus:heisenberg --field 3 --all-pairs --format structured",
+     "9a5da3f4e111f7c0bc30c08b5ac706e66e87e55f43c8f9938cea4bf08d58f716"),
+    ("jh corpus:r4 --field 2 --all-pairs --format text",
+     "ec22a734291e034dde9618ca8cdcec6e8d1910b1927aaa08bbc82670ab38c9aa"),
+    ("jh corpus:r4 --field 2 --all-pairs --format structured",
+     "93952ad3991d84e459e2e92eb3001157b3ab689bd2da20ee6ac1514d672c53e5"),
+    ("jh corpus:h3_plus_line --field 2 --all-pairs --format text",
+     "0d1f02673ae5f7eea70d47f12973ea59d7dd563d6b4a37eff6d0ffa563bee5b8"),
+    ("jh corpus:h3_plus_line --field 2 --all-pairs --format structured",
+     "b9e8cafdaf7f5ed4800aaa6b4f7f538f70d607da2b2469191edda2fb184b1b50"),
+    ("jh corpus:random --field 3 --dim 5 --seed 43 --all-pairs --format text",
+     "ee3a9aafad4809e9df49f22896210b90fa8ae978038dfce03e0922e6daececd8"),
+    ("jh corpus:random --field 3 --dim 5 --seed 43 --all-pairs --format structured",
+     "3c2dbf298ca3e0a26e905654234be38f2965ddd818b1ce13dbec10275315d544"),
+    ("jh corpus:random --field 2 --dim 4 --seed 46 --all-pairs --format text",
+     "7f7130fb78a1fd7ae70aad101570bad35ccccdb69e9d870d85d13ce55f2a62da"),
+    ("jh corpus:random --field 2 --dim 4 --seed 46 --all-pairs --format structured",
+     "629345b231f7d63e291d03be9a4e40ca4a369b33a15a589c5f332c7c582e6d5e"),
+)
+
+
+def test_cli_reports_match_golden_digests():
+    changed = []
+    for argv, digest in GOLDEN:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(argv.split())
+        got = hashlib.sha256(out.getvalue().encode()).hexdigest()
+        if (code, got) != (0, digest):
+            changed.append((argv, code, got))
+    assert changed == []

@@ -318,6 +318,35 @@ def test_restricted_direction_scan_matches_full_scan_property(data):
         random_solvable(n, p, data.draw(st.integers(0, 10_000))))
 
 
+def _assert_search_matches_every_closure(l):
+    """Under both cutoffs, on every ideal base B, the search with stopped
+    spins keeps exactly the inclusion-minimal closures of all the lines
+    _direction_lifts yields, each closed in full by ideal_closure."""
+    for cutoff in (0, ENUM_COUNT_CAP):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ideals_module, "RESTRICT_ABOVE_LINES", cutoff)
+            for b in all_ideals(l):
+                closures = {ideal_closure(l, span(l, v), b) for v in
+                            ideals_module._direction_lifts(l, b)}
+                mins = [c for c in closures if not any(
+                    o != c and subspace_leq(o, c) for o in closures)]
+                assert minimal_ideals_over.__wrapped__(l, b) == \
+                    tuple(sorted(mins, key=Subspace.key))
+
+
+@settings(max_examples=20, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_stopped_spins_match_closing_every_line_property(data):
+    p = data.draw(st.sampled_from((2, 3, 5)))
+    n = data.draw(st.integers(1, {2: 6, 3: 5, 5: 4}[p]))
+    _assert_search_matches_every_closure(
+        random_solvable(n, p, data.draw(st.integers(0, 10_000))))
+
+
+def test_stopped_spins_match_closing_every_line_on_sl2sum():
+    _assert_search_matches_every_closure(sl2sum(5))
+
+
 SCAN_INPUTS = {e.name: e.algebra for e in registry()} | {
     f"sl2(5)+{name}": direct_sum(sl2(5), m) for name, m in (
         ("abelian(1,5)", abelian(1, 5)), ("nonabelian2(5)", nonabelian2(5)),
