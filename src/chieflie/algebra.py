@@ -126,7 +126,9 @@ def validate(l: LieAlgebra) -> ValidationReport:
         for j in range(i, n):
             lhs = sc[i][j]
             rhs = sc[j][i]
-            if any((a + b) % p for a, b in zip(lhs, rhs)):
+            # [e_i, e_i] = 0 on its own: over GF(2), a + a = 0 for any a.
+            if any(a % p if i == j else (a + b) % p
+                   for a, b in zip(lhs, rhs)):
                 return ValidationReport(False, "antisymmetry", (i, j),
                                         tuple(a % p for a in lhs), tuple(b % p for b in rhs))
     basis = [l.basis_vector(i) for i in range(n)]

@@ -77,8 +77,9 @@ def _load_target(args, check: bool = True) -> LieAlgebra:
 def _axiom_lines(l: LieAlgebra, report) -> list[str]:
     if report.kind == "antisymmetry":
         i, j = report.triple
-        ks = [k for k in range(l.n)
-              if (report.lhs[k] + report.rhs[k]) % l.p]
+        # at i = j the entry itself must vanish (over GF(2), a + a = 0)
+        rhs = report.rhs if i != j else (0,) * l.n
+        ks = [k for k in range(l.n) if (report.lhs[k] + rhs[k]) % l.p]
         where = (i + 1, j + 1, ks[0] + 1)
         return [f"antisymmetry error at {where}",
                 f"  [e{i + 1}, e{j + 1}] = {list(report.lhs)} but "

@@ -142,22 +142,29 @@ def is_chief_pair(l: LieAlgebra, a: Subspace, b: Subspace) -> bool:
 def _direction_lifts(l: LieAlgebra, b: Subspace):
     """Lifts of lines of L/B whose closures over the ideal B include each
     minimal ideal of L/B.  Above the cutoff, only the lines of the Fitting
-    cover of ad x on L/B, which every ideal N/B meets, for x the basis row,
-    all-ones or (1, 2, ..., n) with fewest."""
+    cover of ad x on L/B, which every ideal N/B meets (_fitting_cover)."""
     qc = quotient_coords(l.full, b)
     if qc.line_count() <= RESTRICT_ABOVE_LINES:
         return qc.line_lifts()
+    return qc.line_lifts(ideal_lattice(l).per_ideal(_fitting_cover, b))
+
+
+def _fitting_cover(l: LieAlgebra, b: Subspace) -> tuple[Subspace, ...]:
+    """The Fitting cover of ad x on L/B with fewest lines, for x the basis
+    row, all-ones or (1, 2, ..., n); built once per B, for all_ideals'
+    budget and the search."""
+    qc = quotient_coords(l.full, b)
     ramp = tuple((i + 1) % l.p for i in range(l.n))
     covers = [ad_matrix(l, x, qc).fitting_cover()
               for x in l.full.rows + ((1,) * l.n, ramp)]
-    return qc.line_lifts(min(covers, key=qc.line_count))
+    return min(covers, key=qc.line_count)
 
 
 def _direction_lines(l: LieAlgebra, b: Subspace) -> int:
     """How many lines _direction_lifts spins over the ideal B."""
     lines = (l.p ** (l.n - b.dim) - 1) // (l.p - 1)
-    return lines if lines <= RESTRICT_ABOVE_LINES else \
-        sum(1 for _ in _direction_lifts(l, b))
+    return lines if lines <= RESTRICT_ABOVE_LINES else quotient_coords(
+        l.full, b).line_count(ideal_lattice(l).per_ideal(_fitting_cover, b))
 
 
 def all_ideals(l: LieAlgebra) -> tuple[Subspace, ...]:

@@ -17,8 +17,9 @@ claim that is forced by the inputs fails.
 
 jh_permutation runs the appropriate transfer for every factor of the first
 series against the second, producing a permutation that pairs the factors
-index by index.  Every pair is verified to be related (m_related), connected
-(l_connected), identically classified, and to share a common maximal
+index by index.  Every pair is verified to be related (by the witness a
+collapsed transfer built, else m_related), connected (l_connected),
+identically classified, and to share a common maximal
 supplement (and, for abelian factors, complement) when both sides admit
 them.  The permutation produced this way is the unique one pairing every
 index relatedly; matching_permutations enumerates all such pairings for
@@ -330,6 +331,30 @@ def _check_series_pair(first: ChiefSeries, second: ChiefSeries):
             "chief series between the same endpoints must have equal length")
 
 
+def _transfer_relation(tr: SupplementedTransfer | FrattiniTransfer,
+                       f: ChiefFactor, g: ChiefFactor) -> MRelation | None:
+    """m_related(f, g)'s case, from the middle a collapsed transfer built
+    (re-checked), else from m_related.  A collapsed sum's sum_middle is a
+    supplemented common ancestor: case 1, m_related's first.  A collapsed
+    intersection's intersection_middle is a Frattini common descendant:
+    case 3.  Cases 1 and 2 would give the Frattini f a supplemented
+    ancestor, and it has none: if A/B -> C/D, a supplement M of A/B has
+    D <= B <= M and C + M = A + M = L; case 2's middle V/X, of a crossing
+    [U/V -> W/X], is supplemented by each supplement M of W/X, for M lacks
+    V (or it supplements the Frattini U/V), so V + M = L."""
+    if tr.case == "sum_collapses":
+        r = tr.sum_middle
+        require(r.supplemented and descends_to(r, f) and descends_to(r, g),
+                "sum section must be a supplemented common ancestor")
+        return MRelation(1, r)
+    if tr.case == "intersection_collapses":
+        r = tr.intersection_middle
+        require(r.frattini and descends_to(f, r) and descends_to(g, r),
+                "intersection section must be a Frattini common descendant")
+        return MRelation(3, r)
+    return m_related(f, g)
+
+
 def jh_permutation(first: ChiefSeries, second: ChiefSeries) -> JHReport:
     """Match the factors of two chief series with the same endpoints.
 
@@ -353,7 +378,7 @@ def jh_permutation(first: ChiefSeries, second: ChiefSeries) -> JHReport:
             tr = transfer_frattini(f, second)
         j = tr.index
         g = get_factor(l, second.terms[j], second.terms[j - 1])
-        rel = m_related(f, g)
+        rel = _transfer_relation(tr, f, g)
         require(rel is not None, "matched factors must be related")
         conn = l_connected(f, g)
         require(conn is not None, "matched factors must be connected")

@@ -13,10 +13,10 @@ minimal ideal, so it is the preimage of a maximal subalgebra of the quotient
 by that minimal ideal; this recurses into strictly smaller algebras.
 Core-free maximal subalgebras are found structurally:
 
-* if some minimal ideal A is abelian, every core-free maximal subalgebra is a
-  subalgebra complement of A (its intersection with A would otherwise be a
-  nonzero ideal inside it), and the complements are graphs of linear maps
-  into A cut out by an explicit linear system;
+* if some minimal ideal A is abelian, every maximal subalgebra without A is
+  a subalgebra complement of A and every complement is maximal, so the
+  quotient by A alone gives the rest; the complements are graphs of linear
+  maps into A cut out by an explicit linear system;
 * if there is no abelian minimal ideal but exactly two nonabelian minimal
   ideals A, B with A + B = L, every core-free maximal subalgebra is the graph
   of an algebra isomorphism A -> B;
@@ -253,26 +253,26 @@ def _graph_maximals(l: LieAlgebra, a: Subspace, b: Subspace) -> list[Subspace]:
 
 @lru_cache(maxsize=None)
 def maximal_subalgebras(l: LieAlgebra) -> tuple[Subspace, ...]:
-    """All maximal subalgebras, canonically ordered."""
+    """All maximal subalgebras, canonically ordered.  Given an abelian
+    minimal ideal A, they are the preimages of those of L/A and the
+    complements of A: for M maximal without A, M + A = L, so M n A is an
+    ideal of L ([A, A] = 0), hence 0; for a complement M < S, S n A is an
+    ideal of L and S = M + (S n A), so S n A = A and S = L."""
     if l.n == 0:
         return ()
     if _abelian_part(l, l.full):
         return tuple(sorted(_hyperplanes(l.n, l.p), key=lambda s: s.key()))
-    found: set[Subspace] = set()
     mins = minimal_ideals(l)
-    for a in mins:
+    abelian_mins = [a for a in mins if _abelian_part(l, a)]
+    found: set[Subspace] = set()
+    for a in abelian_mins[:1] or mins:
         if a.dim == l.n:
             continue
         q = quotient_algebra(l, a)
         for mq in maximal_subalgebras(q.algebra):
             found.add(q.preimage_subspace(mq))
-    abelian_mins = [a for a in mins if _abelian_part(l, a)]
     if abelian_mins:
-        for cand in _complement_subalgebras(l, abelian_mins[0]):
-            if cand in found:
-                continue
-            if cand.dim == l.n - 1 or is_maximal(l, cand):
-                found.add(cand)
+        found.update(_complement_subalgebras(l, abelian_mins[0]))
     elif (len(mins) == 2
           and mins[0].dim + mins[1].dim == l.n):
         found.update(_graph_maximals(l, mins[0], mins[1]))

@@ -37,6 +37,17 @@ def test_validate_catches_antisymmetry():
     assert rep.triple == (0, 1)
 
 
+def test_validate_catches_a_nonzero_square_over_gf2():
+    # [x1, x1] = x2: over GF(2), sc[0][0] + sc[0][0] = 0 for any entry, so
+    # the diagonal is tested on its own; over GF(3) too
+    for p in (2, 3):
+        bad = LieAlgebra(2, p, (((0, 1), (0, 0)), ((0, 0), (0, 0))))
+        rep = validate(bad)
+        assert (rep.ok, rep.kind, rep.triple) == (False, "antisymmetry",
+                                                  (0, 0))
+        assert rep.lhs == rep.rhs == (0, 1)
+
+
 def test_validate_catches_jacobi():
     # [x1,x2]=x3 and [x1,x3]=x1 leave a Jacobi defect of x3 at (1,2,3)
     n = 3

@@ -11,8 +11,8 @@ from pathlib import Path
 import pytest
 
 import chieflie
-from chieflie.algebra import LieAlgebra
-from chieflie.cli import main
+from chieflie.algebra import LieAlgebra, validate
+from chieflie.cli import _axiom_lines, main
 from chieflie.corpus import heisenberg, random_solvable, registry
 from chieflie.fileio import (AlgebraFileError, format_algebra, load_algebra,
                              parse_algebra)
@@ -128,6 +128,15 @@ def test_cli_validate_antisymmetry_conflict(capsys, tmp_path):
     code, out, _ = run(capsys, "validate", str(path))
     assert code == 2
     assert "antisymmetry error at (1, 2, 3)" in out
+
+
+def test_cli_axiom_lines_report_a_nonzero_square():
+    # [x1, x1] = x2, built directly: the file parser refuses [x, x]
+    for p in (2, 3):
+        bad = LieAlgebra(2, p, (((0, 1), (0, 0)), ((0, 0), (0, 0))))
+        assert _axiom_lines(bad, validate(bad)) == [
+            "antisymmetry error at (1, 1, 2)",
+            "  [e1, e1] = [0, 1] but [e1, e1] = [0, 1]"]
 
 
 def test_cli_validate_jacobi_failure(capsys, tmp_path):
@@ -259,22 +268,25 @@ def test_cli_jh_all_pairs_refuses_too_many_pairs(capsys, monkeypatch):
         "pairs, over 120000 (computed count: 220900)"]
 
 
-def test_cli_jh_refuses_an_unbounded_ideal_enumeration(capsys):
-    """abelian(5, 5) has 42,176 ideals.  Matching the coordinate flag with
-    itself asks the chief-factor catalog, whose ideal enumeration refuses
-    once its searches would close 30,000 direction lines (of 874,720):
-    exit 3 within seconds, nothing on stdout, both counts on stderr."""
+def test_cli_jh_abelian55_needs_no_ideal_enumeration(capsys):
+    """abelian(5, 5) has 42,176 ideals, and its chief-factor catalog refuses
+    to enumerate them (tests/test_factors.py).  Matching the coordinate flag
+    with itself takes each relation from the collapsed sum transfer, so the
+    catalog is never built: exit 0 within seconds."""
     flag = json.dumps([[[int(i == j) for j in range(5)] for i in range(k)]
                        for k in range(6)])
     start = time.perf_counter()
     code, out, err = run(capsys, "jh", "corpus:abelian", "--field", "5",
                          "--dim", "5", flag, flag)
     assert time.perf_counter() - start < 30
-    assert (code, out) == (3, "")
-    assert err.splitlines() == [
-        "error: budget exceeded: ideal enumeration past 4011 ideals would "
-        "close 30020 direction lines, over cap 30000 (computed count: "
-        "30020)"]
+    assert (code, err) == (0, "")
+    assert out.splitlines() == ["sigma = id"] + [
+        f"index {i} -> {i}: dim 1, complemented, case 1, connection "
+        f"module_isomorphic, transfer sum_collapses, {5 ** (5 - i)} shared "
+        f"supplements, {5 ** (5 - i)} shared complements"
+        for i in range(1, 6)] + [
+        "verified: bijection, relatedness, parity and shared supplements at "
+        "every index"]
 
 
 def test_cli_jh_bad_series(capsys, heis_file):

@@ -22,8 +22,8 @@ from chieflie.factors import (ChiefFactor, MCrossing, chief_factor_catalog,
                               supplements_relaxed)
 from chieflie.ideals import (IdealLattice, all_ideals, chief_series, core,
                              ideal_lattice, is_chief_pair)
-from chieflie.linalg import (Matrix, Subspace, rref_rows, subspace_intersect,
-                             subspace_leq, subspace_sum)
+from chieflie.linalg import (BudgetExceeded, Matrix, Subspace, rref_rows,
+                             subspace_intersect, subspace_leq, subspace_sum)
 from chieflie.maximal import (PrimitiveKind, complements_of, frattini,
                               maximal_records, maximal_subalgebras,
                               record_for, supplements_of)
@@ -164,6 +164,18 @@ def test_catalog_equals_chief_pair_filter():
         want = sorted((get_factor(l, a, b) for b in ideals for a in ideals
                        if is_chief_pair(l, a, b)), key=ChiefFactor.key)
         assert list(chief_factor_catalog(l)) == want, l
+
+
+def test_catalog_refuses_an_unbounded_ideal_enumeration():
+    """abelian(5, 5) has 42,176 ideals, whose searches would close 874,720
+    direction lines; the catalog's ideal enumeration refuses past 30,000,
+    naming both counts.  (jh on this algebra needs no catalog.)"""
+    with pytest.raises(BudgetExceeded) as err:
+        chief_factor_catalog(abelian(5, 5))
+    assert err.value.count == 30_020
+    assert str(err.value) == (
+        "ideal enumeration past 4011 ideals would close 30020 direction "
+        "lines, over cap 30000 (computed count: 30020)")
 
 
 def test_h3_plus_line_frattini_factors_are_the_center_sections():

@@ -4,13 +4,14 @@ import json
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chieflie.algebra import direct_sum
 from chieflie.corpus import (abelian, h3_plus_line, heisenberg, nonabelian2,
-                             r4, random_solvable, sl2, sl2sum)
+                             r4, random_solvable, registry, sl2, sl2sum)
 from chieflie.errors import VerificationError
 from chieflie.factors import (chief_factor_catalog, crossing_catalog,
-                              descends_to, get_factor)
+                              descends_to, get_factor, m_related)
 from chieflie.ideals import (chief_series, core, enumerate_chief_series,
                              make_chief_series)
 from chieflie.jordanholder import (CutPaste, cut_and_paste, cut_maximal_down,
@@ -347,6 +348,51 @@ def test_jh_on_random_solvables():
                     rep = jh_permutation(xs, ys)
                     assert sorted(rep.sigma) == list(range(1, xs.length + 1))
                     assert matching_permutations(xs, ys) == (rep.sigma,)
+
+
+def _assert_witnesses_agree_with_m_related(l, cap):
+    """Every match jh_permutation reports, over the ordered pairs of the
+    first cap chief series, has m_related's case, and its middle meets
+    m_related's conditions for that case: a supplemented common ancestor
+    (case 1) or a Frattini common descendant (case 3).  Cases 2 and 4 come
+    from m_related itself."""
+    series = all_series(l, cap=cap)
+    for xs in series:
+        for ys in series:
+            for m in jh_permutation(xs, ys).matches:
+                f, g, rel = m.factor, m.partner, m.relation
+                ref = m_related(f, g)
+                assert rel.case == ref.case
+                r = rel.middle
+                if rel.case == 1:
+                    assert r.supplemented and descends_to(r, f) \
+                        and descends_to(r, g)
+                elif rel.case == 3:
+                    assert r.frattini and descends_to(f, r) \
+                        and descends_to(g, r)
+                else:
+                    assert rel == ref
+
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_jh_witnesses_agree_with_m_related_property(data):
+    p = data.draw(st.sampled_from((2, 3, 5)))
+    n = data.draw(st.integers(2, {2: 5, 3: 5, 5: 4}[p]))
+    _assert_witnesses_agree_with_m_related(
+        random_solvable(n, p, data.draw(st.integers(0, 10_000))), cap=6)
+
+
+# The jh_corpus algebras (n <= 4, p <= 3), and the random algebra whose
+# series pairs reach all four transfer cases over GF(3).
+WITNESS_CORPUS = {e.name: e.algebra for e in registry()
+                  if e.dim <= 4 and e.p <= 3} | {
+    "random_solvable(5,3,43)": random_solvable(5, 3, 43)}
+
+
+@pytest.mark.parametrize("name", sorted(WITNESS_CORPUS))
+def test_jh_witnesses_agree_with_m_related_on_the_corpus(name):
+    _assert_witnesses_agree_with_m_related(WITNESS_CORPUS[name], cap=5000)
 
 
 @pytest.fixture(scope="module")

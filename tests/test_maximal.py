@@ -82,6 +82,10 @@ def test_maximal_subalgebras_on_random_solvables():
             l = random_solvable(dim, p, seed)
             assert rows_set(maximal_subalgebras(l)) == \
                 rows_set(oracle_maximal_subalgebras(l))
+        # dim 5: one quotient by an abelian minimal ideal, plus complements
+        for p in (2, 3):
+            l = random_solvable(5, p, seed)
+            assert maximal_subalgebras(l) == enumerated_maximal_subalgebras(l)
 
 
 def test_registry_maximal_and_frattini_expectations():

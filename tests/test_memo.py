@@ -15,24 +15,24 @@ import chieflie
 MEMOISED = {
     "field.prime_field": "every field operation; 41,147 hits on rs",
     "linalg.nonzero_directions": "scans of a seen shape; 2,277 hits on rs",
-    "algebra.quotient_algebra": "maximal/Frattini recursion; 889 hits on rs",
+    "algebra.quotient_algebra": "maximal/Frattini recursion; 202 in crit. 5",
     "ideals.core": "only because the benchmark reads its hit ratio",
     "ideals.minimal_ideals_over": "ideal and series searches; 2,599 on rs",
     "ideals.is_chief_pair": "factor and series checks; 12,280 hits on jh",
     "ideals.ideal_lattice": "per-ideal answers, transfers; 6,118 hits on rs",
-    "maximal.is_maximal": "criterion 5, 8,446 hits; 19-22 s without, not 6 s",
+    "maximal.is_maximal": "criterion 5, 8,446 hits (19-22 s without); 0 on rs",
     "maximal.algebra_isomorphisms": "criterion 5, 240 hits; 2 on cli",
-    "maximal.maximal_subalgebras": "containment masks; 2,436 hits on rs",
+    "maximal.maximal_subalgebras": "containment masks; 2,269 hits on rs",
     "maximal.frattini": "one Frattini preimage per denominator; 518 on rs",
     "maximal.maximal_records": "record_for, criterion 5, 266 hits; 11 on cli",
     "maximal.record_for": "criterion 5's supplement joins, 8,446 hits",
     "factors.get_factor": "transfers and relatedness; 42,027 hits on jh",
     "factors.chief_factor_catalog": "m_related, crossings; 4,359 hits on jh",
-    "factors.crossing_catalog": "m_related; 4,350 hits on jh",
-    "factors.descends_to": "matching's factor pairs; 161,794 hits on jh",
+    "factors.crossing_catalog": "m_related; 4,350 hits on jh, 0 calls on rs",
+    "factors.descends_to": "transfers, matching; 173,986 hits on jh",
     "factors._action_matrices": "both sides of l_isomorphic; 5,635 on jh",
     "factors.l_isomorphic": "l_connected per matched index; 4,687 on jh",
-    "factors.m_related": "matching's factor pairs; 24,795 hits on jh",
+    "factors.m_related": "matching_permutations' pairs; 18,699 hits on jh",
     "jordanholder.transfer_supplemented": "series pairs; 2,784 hits on jh",
     "jordanholder.transfer_frattini": "series pairs; 666 hits on jh",
 }
