@@ -92,7 +92,9 @@ class SupplementedTransfer:
     input factor in both cases.
 
     case "sum_collapses" (A+X = B+X): intersection_middle is the common
-    descendant (A n X)/(B n Y) of the input factor and the series step.
+    descendant (A n X)/(B n Y) of the input factor and the series step, and
+    relation is m_related's case 1 with middle sum_middle, a supplemented
+    common ancestor of both, as required on the way.
     case "sum_grows": the next sum section is a Frattini factor and crossing
     records the crossing onto sum_middle; upper_link is (B+X)/(B+Y), a
     supplemented factor descending onto the series step.
@@ -107,6 +109,7 @@ class SupplementedTransfer:
     intersection_middle: ChiefFactor | None = None
     crossing: MCrossing | None = None
     upper_link: ChiefFactor | None = None
+    relation: MRelation | None = None
 
 
 @lru_cache(maxsize=None)
@@ -153,7 +156,8 @@ def transfer_supplemented(f: ChiefFactor,
                 "series step must descend onto the intersection section")
         return SupplementedTransfer(f, series, index, "sum_collapses",
                                     series_factor, sum_middle,
-                                    intersection_middle=inter_middle)
+                                    intersection_middle=inter_middle,
+                                    relation=MRelation(1, sum_middle))
 
     top_factor = sections[index]
     require(top_factor is not None and top_factor.frattini,
@@ -183,7 +187,15 @@ class FrattiniTransfer:
     the input factor descends in both cases.
 
     case "intersection_collapses" (A n Y = B n Y): sum_middle is the common
-    ancestor (A+X)/(B+Y) descending onto the input factor and series step.
+    ancestor (A+X)/(B+Y) descending onto the input factor and series step,
+    and relation is case 3 with middle intersection_middle, a Frattini
+    common descendant of both, as required on the way.  Case 3 is
+    m_related's first for a Frattini factor, since cases 1 and 2 would
+    give it a supplemented ancestor and it has none: if A/B -> C/D, a
+    supplement M of A/B has D <= B <= M and C + M = A + M = L; case 2's
+    middle V/X, of a crossing [U/V -> W/X], is supplemented by each
+    supplement M of W/X, for M lacks V (or it supplements the Frattini
+    U/V), so V + M = L.
     case "intersection_grows": the previous intersection section is a
     supplemented factor and crossing records the crossing onto it from
     intersection_middle; lower_link is (A n X)/(A n Y), onto which the
@@ -199,6 +211,7 @@ class FrattiniTransfer:
     sum_middle: ChiefFactor | None = None
     crossing: MCrossing | None = None
     lower_link: ChiefFactor | None = None
+    relation: MRelation | None = None
 
 
 @lru_cache(maxsize=None)
@@ -246,7 +259,8 @@ def transfer_frattini(f: ChiefFactor, series: ChiefSeries) -> FrattiniTransfer:
                 "sum section must descend onto the series step")
         return FrattiniTransfer(f, series, index, "intersection_collapses",
                                 series_factor, inter_middle,
-                                sum_middle=sum_middle)
+                                sum_middle=sum_middle,
+                                relation=MRelation(3, inter_middle))
 
     require(bottom_factor is not None and bottom_factor.supplemented,
             "last non-qualifying intersection section must be a "
@@ -331,30 +345,6 @@ def _check_series_pair(first: ChiefSeries, second: ChiefSeries):
             "chief series between the same endpoints must have equal length")
 
 
-def _transfer_relation(tr: SupplementedTransfer | FrattiniTransfer,
-                       f: ChiefFactor, g: ChiefFactor) -> MRelation | None:
-    """m_related(f, g)'s case, from the middle a collapsed transfer built
-    (re-checked), else from m_related.  A collapsed sum's sum_middle is a
-    supplemented common ancestor: case 1, m_related's first.  A collapsed
-    intersection's intersection_middle is a Frattini common descendant:
-    case 3.  Cases 1 and 2 would give the Frattini f a supplemented
-    ancestor, and it has none: if A/B -> C/D, a supplement M of A/B has
-    D <= B <= M and C + M = A + M = L; case 2's middle V/X, of a crossing
-    [U/V -> W/X], is supplemented by each supplement M of W/X, for M lacks
-    V (or it supplements the Frattini U/V), so V + M = L."""
-    if tr.case == "sum_collapses":
-        r = tr.sum_middle
-        require(r.supplemented and descends_to(r, f) and descends_to(r, g),
-                "sum section must be a supplemented common ancestor")
-        return MRelation(1, r)
-    if tr.case == "intersection_collapses":
-        r = tr.intersection_middle
-        require(r.frattini and descends_to(f, r) and descends_to(g, r),
-                "intersection section must be a Frattini common descendant")
-        return MRelation(3, r)
-    return m_related(f, g)
-
-
 def jh_permutation(first: ChiefSeries, second: ChiefSeries) -> JHReport:
     """Match the factors of two chief series with the same endpoints.
 
@@ -378,7 +368,7 @@ def jh_permutation(first: ChiefSeries, second: ChiefSeries) -> JHReport:
             tr = transfer_frattini(f, second)
         j = tr.index
         g = get_factor(l, second.terms[j], second.terms[j - 1])
-        rel = _transfer_relation(tr, f, g)
+        rel = tr.relation or m_related(f, g)
         require(rel is not None, "matched factors must be related")
         conn = l_connected(f, g)
         require(conn is not None, "matched factors must be connected")

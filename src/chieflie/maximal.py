@@ -26,6 +26,10 @@ Core-free maximal subalgebras are found structurally:
 * otherwise (simple algebras and other small leftovers) a bounded
   brute-force subspace enumeration takes over, refusing with BudgetExceeded
   when out of range.
+
+Cores.  A maximal subalgebra's core is decided without a search where the
+structure decides it: over an abelian algebra it is the subalgebra itself,
+and it is 0 when the subalgebra holds no minimal ideal.
 """
 
 from __future__ import annotations
@@ -145,6 +149,12 @@ def _ad_fingerprint(l: LieAlgebra, v) -> tuple:
                   sum(m.rows[i][i] for i in range(l.n)) % l.p) for m in powers)
 
 
+def _scaled_fingerprint(fp: tuple, c: int, p: int) -> tuple:
+    """The fingerprint of c v from that of v: ad(c v)^k = c^k ad(v)^k, of
+    the same rank for c != 0."""
+    return tuple((r, pow(c, k, p) * t % p) for k, (r, t) in enumerate(fp, 1))
+
+
 def _generating_tuple(l: LieAlgebra):
     dirs = nonzero_directions(l.n, l.p)
     for r in (2, 3):
@@ -219,10 +229,13 @@ def algebra_isomorphisms(a: LieAlgebra, b: LieAlgebra) -> tuple[Matrix, ...]:
     gens = _generating_tuple(a)
     fps = [_ad_fingerprint(a, g) for g in gens]
     buckets: dict[tuple, list] = {}
-    for v in itertools.product(range(p), repeat=n):
-        if not any(v):
-            continue
-        buckets.setdefault(_ad_fingerprint(b, v), []).append(v)
+    for d in nonzero_directions(n, p):
+        fp = _ad_fingerprint(b, d)
+        for c in range(1, p):
+            buckets.setdefault(_scaled_fingerprint(fp, c, p), []).append(
+                tuple(c * x % p for x in d))
+    for vs in buckets.values():
+        vs.sort()
     plan = _iso_plan(a, gens)
     found = []
     for imgs in itertools.product(*(buckets.get(fp, []) for fp in fps)):
@@ -470,7 +483,15 @@ class MaximalRecord:
 
 @lru_cache(maxsize=None)
 def maximal_records(l: LieAlgebra) -> tuple[MaximalRecord, ...]:
-    return tuple(MaximalRecord(l, m, core(l, m)) for m in maximal_subalgebras(l))
+    """A record per maximal subalgebra M.  The core is M when L is abelian,
+    every subspace being an ideal; 0 when M holds no minimal ideal, since a
+    nonzero ideal inside M would contain one; else the core iteration."""
+    maxes = maximal_subalgebras(l)
+    if _abelian_part(l, l.full):
+        return tuple(MaximalRecord(l, m, m) for m in maxes)
+    mins = minimal_ideals(l)
+    return tuple(MaximalRecord(l, m, core(l, m) if any(
+        subspace_leq(a, m) for a in mins) else l.zero_space) for m in maxes)
 
 
 @lru_cache(maxsize=None)

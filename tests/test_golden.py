@@ -15,7 +15,9 @@ from chieflie.cli import main
 
 # `chief-series` on the jh_corpus algebras (every registry entry with
 # n <= 4 and p <= 3) and on one GF(5) draw past the workloads; `jh
-# --all-pairs`, text and structured, on the same algebras and two draws.
+# --all-pairs`, text and structured, on the same algebras and two draws;
+# `analyze`, text and structured, on the 11 registry entries (the
+# cli_analyze commands), sl2(7) and two draws.
 GOLDEN = (
     ("chief-series corpus:abelian --field 2 --dim 2",
      "d4db2314ec68594b489d76770138cae8320f2e01aa887669aef00d7df43df7b4"),
@@ -81,6 +83,62 @@ GOLDEN = (
      "7f7130fb78a1fd7ae70aad101570bad35ccccdb69e9d870d85d13ce55f2a62da"),
     ("jh corpus:random --field 2 --dim 4 --seed 46 --all-pairs --format structured",
      "629345b231f7d63e291d03be9a4e40ca4a369b33a15a589c5f332c7c582e6d5e"),
+    ("analyze corpus:abelian --field 2 --dim 2 --format text",
+     "7c0f5a7d63de4e9ced2635240e63e42e74f7ba56918ebbef3acba5dae3d6db36"),
+    ("analyze corpus:abelian --field 2 --dim 2 --format structured",
+     "3507fea7cbcc0ce78ce85babac491698b62649542a304add9d4fbcb80e5faebf"),
+    ("analyze corpus:abelian --field 2 --dim 3 --format text",
+     "b6165e5dcc663646f483075440f0cd3c353d04b2e19b311ee60ed0c04662605c"),
+    ("analyze corpus:abelian --field 2 --dim 3 --format structured",
+     "f33563528bab140f6d2d0ee99064f43a5d2a223d139ab40f8112862a3983f7d0"),
+    ("analyze corpus:abelian --field 3 --dim 2 --format text",
+     "d60e3e435bfec7f8fa4df042f2234a17070b767f0bdf49c38094f8cb87c274b4"),
+    ("analyze corpus:abelian --field 3 --dim 2 --format structured",
+     "6a839737586fd5d383297a361ac6aea6852409adae158070c95e1ae540afb748"),
+    ("analyze corpus:nonabelian2 --field 2 --format text",
+     "4df0e238b4e480fb71a18f170bed79faf91f4a6b2f7aba233a900f822305db3d"),
+    ("analyze corpus:nonabelian2 --field 2 --format structured",
+     "dee66146d98f9cce483f9ed787fdfaf05a098b86a2d9d077b684bc9c83e76db8"),
+    ("analyze corpus:nonabelian2 --field 3 --format text",
+     "6a195dedee3f5798d8a0375136c2d0fbe47313dd224cff7bf5164c916adf9556"),
+    ("analyze corpus:nonabelian2 --field 3 --format structured",
+     "2839d4705fc0c663e57c8b3a12fa5ad461a19449db106345fc034026eb6309e3"),
+    ("analyze corpus:heisenberg --field 2 --format text",
+     "1c3100ab6460cef4684219aba6e3a149ff30648cc76328fac236c84eee73a34d"),
+    ("analyze corpus:heisenberg --field 2 --format structured",
+     "424bb0342a5407c9ab9628b1d1d54a35b5d7bbbe2fba30775b517a38cb67ea8b"),
+    ("analyze corpus:heisenberg --field 3 --format text",
+     "14740ed33f7c47006920f6ca6f48be8d760dc20c10f910a57d8a68e12430c50d"),
+    ("analyze corpus:heisenberg --field 3 --format structured",
+     "ce5104f12c47ec2a42e2e6e90716cd3b0b95bc6fe25fc6c2e1db5e488dfc0a3b"),
+    ("analyze corpus:r4 --field 2 --format text",
+     "a4553f5cf5f61a94d8561ab55899e9cceefb26cacf834706cd49610c9a971581"),
+    ("analyze corpus:r4 --field 2 --format structured",
+     "3a4854927166971394b12bf444a99137d582fe8324a7d039606e56bbbdc870fc"),
+    ("analyze corpus:h3_plus_line --field 2 --format text",
+     "9aa34845c7a336d7fc081684ecb2ad10ca1a856543cc5cadd6786fe923eda6cd"),
+    ("analyze corpus:h3_plus_line --field 2 --format structured",
+     "3f3835dcdf78ae4250a293dbd208b66e3bc5c4cda74000334aa6cd4d316e1a3a"),
+    ("analyze corpus:sl2 --field 5 --format text",
+     "d48280d026e8ec9ad55227395d8c8756e8b6f7cf72f3393a9d998cccf2da993a"),
+    ("analyze corpus:sl2 --field 5 --format structured",
+     "d6fbb30cb454a40d291fa16abdf3a697bde001ae7aa7e76f8e4c5eda2ba5e0e2"),
+    ("analyze corpus:sl2sum --field 5 --format text",
+     "1ec4c658a5e4a9b958440ad2d63b56a152e52fc1e0b399c49ddcc624c919f476"),
+    ("analyze corpus:sl2sum --field 5 --format structured",
+     "ff64584f3f29192925b2a3dd7f02c47350fd85b4d026d7803f2576b084d294f1"),
+    ("analyze corpus:sl2 --field 7 --format text",
+     "2b9b87e7886e3136a3fc3364c9b1f39c98b01b4055a2ba4f12b509df656b4380"),
+    ("analyze corpus:sl2 --field 7 --format structured",
+     "bf5a265ce63a0c41b1e3de7592749de9fc146a7c5585de431f33873fc14a8a15"),
+    ("analyze corpus:random --field 5 --dim 5 --seed 1 --format text",
+     "42ddcf04c4fb72e343023b08ecdc40526bd43fe443c37bec5bcfe05ec0588703"),
+    ("analyze corpus:random --field 5 --dim 5 --seed 1 --format structured",
+     "dcddf1bbb66e377616fad78c271b129d8c237432ad9d1bc9699c2a5aa33f9f67"),
+    ("analyze corpus:random --field 3 --dim 6 --seed 0 --format text",
+     "b6238976c29804dc1aeedd55dcd94666c05b1febafcc6a5efc1df0c16e6ced9a"),
+    ("analyze corpus:random --field 3 --dim 6 --seed 0 --format structured",
+     "71cc21374c0ec6fa153f020ff139cee93280e654cde082e8271bfafb7abb4a37"),
 )
 
 

@@ -21,7 +21,7 @@ from chieflie.jordanholder import (CutPaste, cut_and_paste, cut_maximal_down,
                                    transfer_supplemented)
 from chieflie.linalg import (Subspace, subspace_intersect, subspace_leq,
                              subspace_sum)
-from chieflie.maximal import maximal_subalgebras
+from chieflie.maximal import maximal_records, maximal_subalgebras
 from chieflie.oracle import oracle_complements
 
 
@@ -409,6 +409,7 @@ def test_sl2_cubed_maximals_catalog_and_series(sl2_cubed):
     # S_i + S_j + one of sl2(5)'s 16 maximals, or S_k + the graph of one of
     # its 120 automorphisms between S_i and S_j
     assert Counter(core(l, m).dim for m in maxes) == {6: 3 * 16, 3: 3 * 120}
+    assert [r.core for r in maximal_records(l)] == [core(l, m) for m in maxes]
     assert len(chief_factor_catalog(l)) == 12
     assert len(all_series(l)) == 6
 

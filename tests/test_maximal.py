@@ -5,7 +5,8 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chieflie.algebra import bracket, is_ideal, is_subalgebra, restrict_algebra
+from chieflie.algebra import (bracket, direct_sum, is_ideal, is_subalgebra,
+                              restrict_algebra)
 from chieflie.corpus import (abelian, h3_plus_line, heisenberg, nonabelian2,
                              r4, random_solvable, registry, sl2, sl2sum)
 from chieflie.errors import VerificationError
@@ -13,7 +14,8 @@ from chieflie.ideals import (all_ideals, centralizer, centralizer_of_factor,
                              core, is_chief_pair, is_solvable, minimal_ideals)
 from chieflie.linalg import (BudgetExceeded, Matrix, Subspace, rref_rows,
                              subspace_intersect, subspace_leq, subspace_sum)
-from chieflie.maximal import (MaximalRecord, PrimitiveKind, algebra_isomorphisms,
+from chieflie.maximal import (MaximalRecord, PrimitiveKind, _ad_fingerprint,
+                              _scaled_fingerprint, algebra_isomorphisms,
                               complements_of, enumerated_maximal_subalgebras,
                               frattini, is_frattini_factor, is_maximal,
                               is_monolithic, maximal_records,
@@ -289,7 +291,12 @@ def test_monolithic_supplements_requires_chief_factor():
 
 
 def test_records_cores_and_primitive_quotients():
-    for l in SMALL + [sl2(5), sl2sum(5)]:
+    # sl2sum(5) and random_solvable(3, 5, 1) have maximals holding no
+    # minimal ideal (120 and 25); sl2(5) + nonabelian2(5) and the GF(5)
+    # draws of dimension 5 have none
+    extra = [sl2(5), sl2sum(5), direct_sum(sl2(5), nonabelian2(5))]
+    draws = [random_solvable(n, 5, s) for n in (3, 5) for s in range(6)]
+    for l in SMALL + extra + draws:
         for rec in maximal_records(l):
             assert rec.core == core(l, rec.subalgebra)
             assert rec.quotient_kind is not PrimitiveKind.NOT_PRIMITIVE
@@ -415,6 +422,20 @@ def test_isomorphism_search_matches_brute_force_nonabelian2():
 
 def rows_set_m(mats):
     return {m.rows for m in mats}
+
+
+@pytest.mark.parametrize("l", [sl2(5), sl2(7), random_solvable(4, 5, 0)],
+                         ids=["sl2(5)", "sl2(7)", "random_solvable(4,5,0)"])
+def test_fingerprint_of_a_multiple_is_the_scaled_fingerprint(l):
+    # the isomorphism search fingerprints one vector per line and derives
+    # the rest: ad(cv)^k = c^k ad(v)^k
+    p = l.p
+    for v in itertools.product(range(p), repeat=l.n):
+        if any(v):
+            fp = _ad_fingerprint(l, v)
+            for c in range(1, p):
+                assert _ad_fingerprint(l, tuple(c * x % p for x in v)) == \
+                    _scaled_fingerprint(fp, c, p)
 
 
 @pytest.mark.parametrize("p", [5, 7])

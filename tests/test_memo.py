@@ -16,7 +16,7 @@ MEMOISED = {
     "field.prime_field": "every field operation; 41,147 hits on rs",
     "linalg.nonzero_directions": "scans of a seen shape; 2,277 hits on rs",
     "algebra.quotient_algebra": "maximal/Frattini recursion; 202 in crit. 5",
-    "ideals.core": "only because the benchmark reads its hit ratio",
+    "ideals.core": "the benchmark reads its hit ratio; 63 misses on cli",
     "ideals.minimal_ideals_over": "ideal and series searches; 2,599 on rs",
     "ideals.is_chief_pair": "factor and series checks; 12,280 hits on jh",
     "ideals.ideal_lattice": "per-ideal answers, transfers; 6,118 hits on rs",
