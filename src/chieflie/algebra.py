@@ -150,15 +150,25 @@ def check_valid(l: LieAlgebra) -> None:
         raise ValidationError(report)
 
 
+def _check_subspaces(l: LieAlgebra, *spaces: Subspace) -> None:
+    """Refuse (ValueError) a subspace of another GF(p)^n than L's."""
+    for u in spaces:
+        if (u.n, u.p) != (l.n, l.p):
+            raise ValueError(f"subspace of GF({u.p})^{u.n}, not of L's "
+                             f"GF({l.p})^{l.n}")
+
+
 def subspace_product(l: LieAlgebra, u: Subspace, v: Subspace) -> Subspace:
     """[U, V]: span of all brackets of basis elements; for [U, U] only the
     pairs i < j, since [a, a] = 0 and [b, a] = -[a, b]."""
+    _check_subspaces(l, u, v)
     pairs = itertools.combinations(u.rows, 2) if u == v else \
         itertools.product(u.rows, v.rows)
     return Subspace(l.n, l.p, [bracket(l, a, b) for a, b in pairs])
 
 
 def is_subalgebra(l: LieAlgebra, u: Subspace) -> bool:
+    _check_subspaces(l, u)
     rows = u.rows
     for a_i, a in enumerate(rows):
         for b in rows[a_i + 1:]:
@@ -168,6 +178,7 @@ def is_subalgebra(l: LieAlgebra, u: Subspace) -> bool:
 
 
 def is_ideal(l: LieAlgebra, u: Subspace) -> bool:
+    _check_subspaces(l, u)
     return u.invariant_under(l.ad_maps)
 
 
@@ -179,8 +190,7 @@ def ad_matrix(l: LieAlgebra, x: Vector,
     if qc is None:
         cols = [bracket(l, x, e) for e in l.full.rows]
     else:
-        cols = [qc.project(bracket(l, x, qc.lift(unit(j, qc.dim))))
-                for j in range(qc.dim)]
+        cols = [qc.project(bracket(l, x, v)) for v in qc.lifts.rows]
     return Matrix(l.p, tuple(zip(*cols)))
 
 
@@ -224,8 +234,7 @@ def quotient_algebra(l: LieAlgebra, ideal: Subspace) -> QuotientPresentation:
     if not is_ideal(l, ideal):
         raise ValueError("quotient by a non-ideal subspace")
     qc = quotient_coords(l.full, ideal)
-    k = qc.dim
-    lifts = [qc.lift(unit(i, k)) for i in range(k)]
+    k, lifts = qc.dim, qc.lifts.rows
     # [x_i, x_i] = 0 and [x_j, x_i] = -[x_i, x_j]: bracket only i < j
     sc = [[(0,) * k] * k for _ in range(k)]
     for i, j in itertools.combinations(range(k), 2):

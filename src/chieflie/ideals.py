@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
-from .algebra import LieAlgebra, ad_matrix, is_ideal, subspace_product
+from .algebra import (LieAlgebra, _check_subspaces, ad_matrix, is_ideal,
+                      subspace_product)
 from .linalg import (BudgetExceeded, Subspace, _hash_once, _pack,
                      quotient_coords, spin, subspace_intersect, subspace_leq,
                      subspace_sum)
@@ -33,8 +34,7 @@ def ideal_closure(l: LieAlgebra, seed: Subspace,
     """Smallest ideal containing seed and base: linalg.spin of seed under
     ad L, which maps only rows new to the span.  base must already be an
     ideal (unchecked), so it is never spun."""
-    if (seed.n, seed.p) != (l.n, l.p):
-        raise ValueError(f"seed lies in GF({seed.p})^{seed.n}, not in L")
+    _check_subspaces(l, seed)
     out = spin(l.ad_maps, seed._basis, base)
     return l.full if out.dim == l.n else out
 

@@ -49,7 +49,7 @@ from .factors import (ChiefFactor, LConnection, MCrossing, MRelation,
 from .ideals import (ChiefSeries, core, ideal_lattice, is_chief_pair,
                      make_chief_series)
 from .linalg import (BudgetExceeded, Matrix, Subspace, rref_rows,
-                     subspace_intersect, subspace_leq, subspace_sum, unit)
+                     subspace_intersect, subspace_leq, subspace_sum)
 from .maximal import is_maximal
 
 PERMUTATION_ENUM_CAP = 40_320  # 8!
@@ -367,7 +367,7 @@ def jh_permutation(first: ChiefSeries, second: ChiefSeries) -> JHReport:
         else:
             tr = transfer_frattini(f, second)
         j = tr.index
-        g = get_factor(l, second.terms[j], second.terms[j - 1])
+        g = tr.series_factor
         rel = tr.relation or m_related(f, g)
         require(rel is not None, "matched factors must be related")
         conn = l_connected(f, g)
@@ -451,8 +451,8 @@ def cut_and_paste(l: LieAlgebra, b: Subspace, u: Subspace) -> CutPaste:
     k = quotient.algebra.n
     require(sub_quotient.algebra.n == k,
             "the two quotients must have equal dimension")
-    cols = [quotient.project(inside.to_parent(sub_quotient.lift(unit(s, k))))
-            for s in range(k)]
+    cols = [quotient.project(inside.to_parent(v))
+            for v in sub_quotient.coords.lifts.rows]
     theta_rows = tuple(tuple(cols[c][r] for c in range(k)) for r in range(k))
     require(len(rref_rows(theta_rows, l.p)) == k,
             "natural map between the quotients must be bijective")

@@ -502,35 +502,35 @@ def enumerate_subspaces(n: int, p: int, dims=None, count_cap: int = ENUM_COUNT_C
 
 
 # -- quotient coordinates --------------------------------------------------
+#
+# W/U is read off the packed canonical bases of W and U: no second
+# coordinate system and no row reduction (see QuotientCoords).
 
 
 @dataclass(frozen=True)
 class QuotientCoords:
     """Coordinates for W/U: project is a linear surjection W -> GF(p)^k with
-    kernel exactly U, and lift is a right inverse of project."""
+    kernel exactly U, and lift is a right inverse of project.  lifts is
+    spanned by W's canonical rows whose pivots are not pivots of U: U <= W
+    puts U's pivots among W's, so those rows vanish at U's pivots, and a v
+    in W reduced modulo U, which vanishes there too, is their combination
+    with its entries at their pivots as coefficients."""
 
     space: Subspace
     sub: Subspace
-    # U expressed in W-coordinates, canonical; complement positions give the
-    # quotient coordinates.
-    _u_in_w: Subspace
-    _comp: tuple[int, ...]
+    lifts: Subspace
 
     @property
     def dim(self) -> int:
-        return len(self._comp)
+        return self.lifts.dim
 
     def project(self, v: Vector) -> Vector:
         if not self.space.contains(v):
             raise ValueError(f"vector {v} outside the ambient subspace")
-        resid = self._u_in_w.reduce(self.space.coords(v))
-        return tuple(resid[c] for c in self._comp)
+        return self.lifts.coords(self.sub.reduce(v))
 
     def lift(self, q: Vector) -> Vector:
-        coeffs = [0] * self.space.dim
-        for c, pos in zip(q, self._comp):
-            coeffs[pos] = c
-        return self.space.combine(coeffs)
+        return self.lifts.combine(q)
 
     def line_count(self, spaces=None) -> int:
         """Lines of space/sub, or of the union of spaces (see line_lifts)."""
@@ -558,10 +558,10 @@ class QuotientCoords:
 def quotient_coords(space: Subspace, sub: Subspace) -> QuotientCoords:
     if not subspace_leq(sub, space):
         raise ValueError("quotient_coords requires sub <= space")
-    u_in_w = Subspace(space.dim, space.p,
-                      tuple(space.coords(r) for r in sub.rows))
-    comp = tuple(j for j in range(space.dim) if j not in u_in_w.pivots)
-    return QuotientCoords(space, sub, u_in_w, comp)
+    # a canonical row's pivot entry is 1, so its bit length marks its pivot
+    tops = {m.bit_length() for m in sub._basis}
+    lifts = [m for m in space._basis if m.bit_length() not in tops]
+    return QuotientCoords(space, sub, Subspace._of(space.n, space.p, lifts))
 
 
 # -- a minimal dense matrix for API surfaces -------------------------------
@@ -604,11 +604,17 @@ class Matrix:
         return tuple(row[j] for row in self.rows)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
+        if self.ncols != other.nrows:
+            raise ValueError(f"cannot multiply a {self.nrows}x{self.ncols} "
+                             f"matrix by a {other.nrows}x{other.ncols} matrix")
         p, cols = self.p, tuple(zip(*other.rows))
         return Matrix(p, tuple(tuple(sum(x * y for x, y in zip(row, col)) % p
                                      for col in cols) for row in self.rows))
 
     def __pow__(self, e: int) -> "Matrix":
+        if self.nrows != self.ncols:
+            raise ValueError(f"cannot raise a {self.nrows}x{self.ncols} "
+                             f"matrix to a power")
         return reduce(Matrix.__matmul__, [self] * e)
 
     def fitting_cover(self) -> tuple[Subspace, ...]:

@@ -98,7 +98,7 @@ def _complement_subalgebras(l: LieAlgebra, a: Subspace) -> list[Subspace]:
     dq, da = qc.dim, a.dim
     if dq == 0:
         return []
-    sigma = [qc.lift(unit(s, dq)) for s in range(dq)]
+    sigma = qc.lifts.rows
     act = [[a.coords(bracket(l, sigma[s], a.rows[t])) for t in range(da)]
            for s in range(dq)]
     nunk = dq * da
@@ -402,8 +402,6 @@ def primitive_type(l: LieAlgebra) -> PrimitivityReport:
     corefree = [m for m, c in pairs if c.dim == 0]
     mins = minimal_ideals(l)
     if not corefree:
-        require(all(c.dim > 0 for _, c in pairs),
-                "non-primitive algebra with a zero core in evidence")
         return PrimitivityReport(l, PrimitiveKind.NOT_PRIMITIVE, None, mins, pairs)
     u = corefree[0]
     full = l.full

@@ -187,6 +187,20 @@ def test_is_subalgebra_and_ideal():
     assert not is_ideal(s, borel)
 
 
+def test_predicates_refuse_a_subspace_of_another_space():
+    h = heisenberg(3)
+    other_field = Subspace(3, 5, [(1, 0, 0)])
+    other_dim = Subspace(2, 3, [(1, 0)])
+    with pytest.raises(ValueError, match=r"GF\(5\)\^3"):
+        is_ideal(h, other_field)
+    with pytest.raises(ValueError, match=r"GF\(3\)\^2"):
+        is_subalgebra(h, other_dim)
+    with pytest.raises(ValueError, match=r"GF\(3\)\^2"):
+        subspace_product(h, other_dim, Subspace.full(2, 3))
+    with pytest.raises(ValueError, match=r"GF\(3\)\^2"):
+        subspace_product(h, h.full, other_dim)
+
+
 # ---------------------------------------------------------------------------
 # quotients
 # ---------------------------------------------------------------------------

@@ -327,6 +327,59 @@ def test_quotient_coords_inside_proper_subspace():
         qc.project((1, 0, 0, 0))  # not in w
 
 
+def _parent_quotient_coords(w: Subspace, u: Subspace):
+    """(project, lift) built from U's coordinates in W, row-reduced, and the
+    positions of W's basis off their pivots."""
+    p = w.p
+    u_in_w = Subspace(w.dim, p, [w.coords(r) for r in u.rows])
+    comp = [j for j in range(w.dim) if j not in u_in_w.pivots]
+
+    def project(v):
+        resid = u_in_w.reduce(w.coords(v))
+        return tuple(resid[c] for c in comp)
+
+    def lift(q):
+        coeffs = [0] * w.dim
+        for c, pos in zip(q, comp):
+            coeffs[pos] = c
+        return w.combine(coeffs)
+
+    return project, lift
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_quotient_coords_match_u_in_w_construction(p):
+    rng = random.Random(1000 + p)
+    for trial in range(60):
+        n = rng.randint(1, 7)
+        full = Subspace.full(n, p)
+        if trial % 2:
+            w = full
+        else:
+            w = Subspace(n, p, [tuple(rng.randrange(p) for _ in range(n))
+                                for _ in range(rng.randint(0, n - 1))])
+        u = Subspace(n, p, [w.combine([rng.randrange(p) for _ in range(w.dim)])
+                            for _ in range(rng.randint(0, w.dim))])
+        qc = quotient_coords(w, u)
+        project, lift = _parent_quotient_coords(w, u)
+        assert qc.dim == w.dim - u.dim
+        for _ in range(10):
+            q = tuple(rng.randrange(p) for _ in range(qc.dim))
+            assert qc.lift(q) == lift(q)
+            assert qc.project(qc.lift(q)) == q
+            v = w.combine([rng.randrange(p) for _ in range(w.dim)])
+            assert qc.project(v) == project(v)
+            s = u.combine([rng.randrange(p) for _ in range(u.dim)])
+            assert qc.project(s) == (0,) * qc.dim
+        for s in u.rows:
+            assert qc.project(s) == (0,) * qc.dim
+        outside = [v for v in full.rows if not w.contains(v)]
+        assert bool(outside) == (w != full)
+        for v in outside:
+            with pytest.raises(ValueError, match="outside"):
+                qc.project(v)
+
+
 def test_quotient_coords_requires_containment():
     with pytest.raises(ValueError):
         quotient_coords(Subspace.span(3, 2, [(1, 0, 0)]), Subspace.span(3, 2, [(0, 1, 0)]))
@@ -343,6 +396,18 @@ def test_matrix_apply_and_column():
     assert Matrix.identity(2, 3).apply((2, 1)) == (2, 1)
     with pytest.raises(ValueError):
         m.apply((1, 0, 0))
+
+
+def test_matrix_products_refuse_mismatched_shapes():
+    m = Matrix.identity(3, 5)
+    with pytest.raises(ValueError, match="2x2 matrix by a 3x3"):
+        Matrix.identity(2, 5) @ m
+    row = Matrix.from_rows([(1, 2, 3)], 5)
+    with pytest.raises(ValueError, match="1x3"):
+        row ** 2
+    with pytest.raises(ValueError, match="1x3"):
+        row ** 1
+    assert (m @ m) == m and m ** 3 == m
 
 
 def test_nonzero_directions():
