@@ -327,7 +327,7 @@ def test_quotient_coords_inside_proper_subspace():
         qc.project((1, 0, 0, 0))  # not in w
 
 
-def _parent_quotient_coords(w: Subspace, u: Subspace):
+def _u_in_w_quotient_coords(w: Subspace, u: Subspace):
     """(project, lift) built from U's coordinates in W, row-reduced, and the
     positions of W's basis off their pivots."""
     p = w.p
@@ -361,7 +361,7 @@ def test_quotient_coords_match_u_in_w_construction(p):
         u = Subspace(n, p, [w.combine([rng.randrange(p) for _ in range(w.dim)])
                             for _ in range(rng.randint(0, w.dim))])
         qc = quotient_coords(w, u)
-        project, lift = _parent_quotient_coords(w, u)
+        project, lift = _u_in_w_quotient_coords(w, u)
         assert qc.dim == w.dim - u.dim
         for _ in range(10):
             q = tuple(rng.randrange(p) for _ in range(qc.dim))
