@@ -33,7 +33,6 @@ tracked.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
@@ -45,7 +44,7 @@ from .errors import require
 from .factors import (ChiefFactor, LConnection, MCrossing, MRelation,
                       common_complements, common_supplements, descends_to,
                       get_factor, is_m_crossing, l_connected, m_related,
-                      make_crossing)
+                      make_crossing, relation_table)
 from .ideals import (ChiefSeries, core, ideal_lattice, is_chief_pair,
                      make_chief_series)
 from .linalg import (BudgetExceeded, Matrix, Subspace, rref_rows,
@@ -394,9 +393,10 @@ def jh_permutation(first: ChiefSeries, second: ChiefSeries) -> JHReport:
 
 def matching_permutations(first: ChiefSeries,
                           second: ChiefSeries) -> tuple[tuple[int, ...], ...]:
-    """All permutations pairing every index of the two series relatedly.
+    """All permutations pairing every index of the two series relatedly,
+    in lexicographic order, grown index by index through related pairs.
 
-    Exhausts the full symmetric group, so lengths are capped; the
+    There can be n! of them, so lengths are capped; the
     jh_permutation result is always among these, and the matching theorems
     say it is the only one.
     """
@@ -406,13 +406,16 @@ def matching_permutations(first: ChiefSeries,
     if math.factorial(n) > PERMUTATION_ENUM_CAP:
         raise BudgetExceeded("permutation enumeration too large",
                              math.factorial(n))
-    fx = [get_factor(l, a, b) for a, b in first.factor_pairs()]
-    fy = [get_factor(l, a, b) for a, b in second.factor_pairs()]
-    related = {(i, j): m_related(fx[i], fy[j]) is not None
-               for i in range(n) for j in range(n)}
-    return tuple(tuple(j + 1 for j in perm)
-                 for perm in itertools.permutations(range(n))
-                 if all(related[(i, perm[i])] for i in range(n)))
+    t = relation_table(l)
+    second_rows = [t.rows(get_factor(l, a, b))[1]
+                   for a, b in second.factor_pairs()]
+    perms = [()]
+    for a, b in first.factor_pairs():
+        row = t.rows(get_factor(l, a, b))[0]
+        related = [j + 1 for j, r in enumerate(second_rows)
+                   if any(x & y for x, y in zip(row, r))]
+        perms = [q + (j,) for q in perms for j in related if j not in q]
+    return tuple(perms)
 
 
 # -- cutting to a supplement and pasting back -------------------------------

@@ -612,10 +612,22 @@ class Matrix:
                                      for col in cols) for row in self.rows))
 
     def __pow__(self, e: int) -> "Matrix":
-        if self.nrows != self.ncols:
+        if self.nrows != self.ncols or e < 0:
             raise ValueError(f"cannot raise a {self.nrows}x{self.ncols} "
-                             f"matrix to a power")
-        return reduce(Matrix.__matmul__, [self] * e)
+                             f"matrix to the power {e}")
+        return reduce(Matrix.__matmul__, [self] * e,
+                      Matrix.identity(self.nrows, self.p))
+
+    def inverse(self) -> "Matrix":
+        """M^-1: the RREF of [M | I] is [I | M^-1] exactly when its last
+        row does not vanish on M's columns; ValueError otherwise."""
+        n = self.nrows
+        red = rref_rows([r + unit(i, n) for i, r in enumerate(self.rows)],
+                        self.p)
+        if n != self.ncols or n and not any(red[-1][:n]):
+            raise ValueError(f"a {n}x{self.ncols} matrix that is singular or "
+                             f"not square has no inverse")
+        return Matrix(self.p, tuple(r[n:] for r in red))
 
     def fitting_cover(self) -> tuple[Subspace, ...]:
         """For square M on GF(p)^k: each nonzero ker(M - c), c in GF(p), and

@@ -12,7 +12,8 @@ from chieflie.algebra import (LieAlgebra, bracket, quotient_algebra,
 from chieflie.corpus import (abelian, h3_plus_line, heisenberg, nonabelian2,
                              r4, random_solvable, registry, sl2, sl2sum)
 from chieflie.errors import VerificationError
-from chieflie.factors import (ChiefFactor, MCrossing, chief_factor_catalog,
+from chieflie.factors import (ChiefFactor, MCrossing, MRelation,
+                              chief_factor_catalog,
                               common_complements, common_supplements,
                               complements_relaxed, crossing_catalog,
                               descends_to, descent_transfer_checks, get_factor,
@@ -21,7 +22,9 @@ from chieflie.factors import (ChiefFactor, MCrossing, chief_factor_catalog,
                               module_hom_space, supplement_join,
                               supplements_relaxed)
 from chieflie.ideals import (IdealLattice, all_ideals, chief_series, core,
-                             ideal_lattice, is_chief_pair)
+                             enumerate_chief_series, ideal_lattice,
+                             is_chief_pair)
+from chieflie.jordanholder import matching_permutations
 from chieflie.linalg import (BudgetExceeded, Matrix, Subspace, rref_rows,
                              subspace_intersect, subspace_leq, subspace_sum)
 from chieflie.maximal import (PrimitiveKind, complements_of, frattini,
@@ -483,20 +486,15 @@ def test_l_isomorphic_dimension_mismatch():
     assert l_isomorphic(top, f2) is None
 
 
-def test_l_isomorphic_transports_action_and_bracket():
-    l = sl2sum(5)
-    a1 = span(l, (1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0))
-    a2 = span(l, (0, 0, 0, 1, 0, 0), (0, 0, 0, 0, 1, 0), (0, 0, 0, 0, 0, 1))
-    f1 = get_factor(l, a1, span(l))
-    top2 = get_factor(l, l.full, a2)
-    theta = l_isomorphic(f1, top2)
-    assert theta is not None
-    # independently re-verify the two defining conditions
+def assert_l_isomorphism(theta, f, g):
+    """theta commutes with the action of every basis element and carries
+    the bracket of f to the bracket of g, checked on unit vectors."""
     from chieflie.factors import _action_matrices, _factor_bracket
-    qf, actf = _action_matrices(f1)
-    qg, actg = _action_matrices(top2)
+    l = f.algebra
+    qf, actf = _action_matrices(f)
+    qg, actg = _action_matrices(g)
     p = l.p
-    d = f1.dim
+    d = f.dim
     for i in range(l.n):
         af, ag = actf[i], actg[i]
         for c in range(d):
@@ -511,8 +509,51 @@ def test_l_isomorphic_transports_action_and_bracket():
         for t in range(d):
             es = tuple(1 if q == s else 0 for q in range(d))
             et = tuple(1 if q == t else 0 for q in range(d))
-            assert theta.apply(_factor_bracket(f1, qf, es, et)) == \
-                _factor_bracket(top2, qg, theta.apply(es), theta.apply(et))
+            assert theta.apply(_factor_bracket(f, qf, es, et)) == \
+                _factor_bracket(g, qg, theta.apply(es), theta.apply(et))
+
+
+def test_l_isomorphic_transports_action_and_bracket():
+    l = sl2sum(5)
+    a1 = span(l, (1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0))
+    a2 = span(l, (0, 0, 0, 1, 0, 0), (0, 0, 0, 0, 1, 0), (0, 0, 0, 0, 0, 1))
+    f1 = get_factor(l, a1, span(l))
+    top2 = get_factor(l, l.full, a2)
+    theta = l_isomorphic(f1, top2)
+    assert theta is not None
+    # independently re-verify the two defining conditions
+    assert_l_isomorphism(theta, f1, top2)
+
+
+def test_l_isomorphic_both_ways_are_inverse_l_isomorphisms():
+    """Only one orientation of a pair is solved; the other is its inverse,
+    and a factor's own is the identity.  Over GF(2), GF(3) and GF(5), with
+    sl2sum(5)'s nonabelian pairs a1/0, L/a2 and a2/0, L/a1 both ways."""
+    algebras = [h3_plus_line(2), r4(2), two_dim_module_algebra(),
+                random_solvable(5, 2, 14), heisenberg(3), abelian(2, 3),
+                random_solvable(4, 3, 10), random_solvable(5, 3, 43),
+                sl2(5), sl2sum(5), random_solvable(4, 5, 0)]
+    both_ways, not_involutions = {}, set()
+    for l in algebras:
+        cat = chief_factor_catalog(l)
+        for f in cat:
+            assert l_isomorphic(f, f) == Matrix.identity(f.dim, l.p)
+            for g in cat:
+                theta, back = l_isomorphic(f, g), l_isomorphic(g, f)
+                assert (theta is None) == (back is None), (l, f, g)
+                if theta is None or f == g:
+                    continue
+                one = Matrix.identity(f.dim, l.p)
+                assert theta @ back == one and back @ theta == one
+                assert_l_isomorphism(theta, f, g)
+                assert_l_isomorphism(back, g, f)
+                both_ways[l.p, f.abelian] = both_ways.get((l.p, f.abelian),
+                                                          0) + 1
+                if theta != back:
+                    not_involutions.add(l.p)
+    assert set(both_ways) == {(2, True), (3, True), (5, True), (5, False)}
+    assert not_involutions == {2, 3}    # so a reverse equal to theta fails
+    assert both_ways[5, False] == 4    # a1/0, L/a2 and a2/0, L/a1
 
 
 def test_l_isomorphic_self():
@@ -703,6 +744,106 @@ def test_m_related_supplemented_pairs_share_a_supplement():
                 r = m_related(f, g)
                 if r is not None and f.supplemented and g.supplemented:
                     assert common_supplements(f, g)
+
+
+# -- the relation table against the catalog scans it replaced ---------------
+
+
+def scan_crossings(l):
+    """The crossing catalog as a scan of every (Frattini, supplemented)
+    pair of the chief-factor catalog."""
+    catalog = chief_factor_catalog(l)
+    return tuple(make_crossing(f, g) for f in catalog if f.frattini
+                 for g in catalog if g.supplemented and descends_to(f, g))
+
+
+def scan_m_related(f, g, crossings, cases=(1, 2, 3, 4)):
+    """m_related as a scan of the chief-factor catalog and the crossings,
+    one loop per case, first witness first."""
+    l = f.algebra
+    catalog = chief_factor_catalog(l)
+    for case in cases:
+        if case == 1:
+            for r in catalog:
+                if r.supplemented and descends_to(r, f) and descends_to(r, g):
+                    return MRelation(1, r)
+        elif case == 2:
+            for x in crossings:
+                v, xx = x.top.b, x.bottom.b
+                if is_chief_pair(l, v, xx):
+                    vx = get_factor(l, v, xx)
+                    if descends_to(vx, f) and descends_to(x.bottom, g):
+                        return MRelation(2, vx, x)
+        elif case == 3:
+            for y in catalog:
+                if y.frattini and descends_to(f, y) and descends_to(g, y):
+                    return MRelation(3, y)
+        elif case == 4:
+            for x in crossings:
+                u, w = x.top.a, x.bottom.a
+                if is_chief_pair(l, u, w):
+                    uw = get_factor(l, u, w)
+                    if descends_to(f, x.top) and descends_to(g, uw):
+                        return MRelation(4, uw, x)
+    return None
+
+
+def relation_draws():
+    """Every registry algebra; random_solvable(n, p, s) for p in 2, 3, 5
+    and n in 3..5, the first two seeds below 10 with at most 70 chief
+    factors (the all-pairs scans are quadratic in the catalog); and the
+    four draws below 60 with crossings and at most 60 factors."""
+    out = [e.algebra for e in registry()]
+    for p in (2, 3, 5):
+        for n in (3, 4, 5):
+            draws = (random_solvable(n, p, s) for s in range(10))
+            out += itertools.islice((l for l in draws
+                                     if len(chief_factor_catalog(l)) <= 70),
+                                    2)
+    return out + [random_solvable(4, 2, 46), random_solvable(5, 2, 7),
+                  random_solvable(5, 2, 53), random_solvable(5, 3, 43)]
+
+
+def test_relation_table_matches_the_catalog_scans():
+    """Kills, each in a copy: the ~ dropped from the tops-below-B mask of
+    the descendants (or from the bottoms-above-C mask of the ancestors),
+    and the up and down masks swapped."""
+    draws = relation_draws()
+    witnessed = set()
+    for l in draws:
+        crossings = scan_crossings(l)
+        assert crossing_catalog(l) == crossings
+        cat = chief_factor_catalog(l)
+        for f in cat:
+            for g in cat:
+                for cases in ((1, 2, 3, 4), (1,), (2,), (3,), (4,)):
+                    got = m_related(f, g, cases)
+                    assert got == scan_m_related(f, g, crossings, cases), \
+                        (l, f, g, cases)
+                    witnessed.add(got and got.case)
+    assert witnessed == {None, 1, 2, 3, 4}
+    assert sum(bool(crossing_catalog(l)) for l in draws) == 5
+
+
+def test_matching_permutations_match_the_permutation_filter():
+    for l in relation_draws():
+        crossings = scan_crossings(l)
+        cat = chief_factor_catalog(l)
+        related = {(f, g): scan_m_related(f, g, crossings) is not None
+                   for f in cat for g in cat}
+        enum = enumerate_chief_series(l)
+        assert not enum.truncated
+        series = enum.series
+        for first in series:
+            for second in series:
+                fy = [get_factor(l, a, b) for a, b in second.factor_pairs()]
+                rel = [[related[get_factor(l, a, b), g] for g in fy]
+                       for a, b in first.factor_pairs()]
+                expected = tuple(
+                    tuple(j + 1 for j in perm)
+                    for perm in itertools.permutations(range(len(fy)))
+                    if all(row[j] for row, j in zip(rel, perm)))
+                assert matching_permutations(first, second) == expected
 
 
 def test_common_supplements_heisenberg_hand_value():

@@ -410,6 +410,38 @@ def test_matrix_products_refuse_mismatched_shapes():
     assert (m @ m) == m and m ** 3 == m
 
 
+def test_matrix_power_zero_is_identity_and_negative_refuses():
+    m = Matrix.from_rows([(1, 2), (3, 4)], 5)
+    assert m ** 0 == Matrix.identity(2, 5)
+    assert m ** 1 == m and m ** 2 == m @ m
+    with pytest.raises(ValueError, match="power -1"):
+        m ** -1
+    with pytest.raises(ValueError, match="1x3"):
+        Matrix.from_rows([(1, 2, 3)], 5) ** 0
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_matrix_inverse_against_random_matrices(p):
+    rng = random.Random(2100 + p)
+    singular = 0
+    for _ in range(200):
+        k = rng.randint(1, 5)
+        m = Matrix.from_rows([[rng.randrange(p) for _ in range(k)]
+                              for _ in range(k)], p)
+        if len(rref_rows(m.rows, p)) < k:
+            singular += 1
+            with pytest.raises(ValueError, match="no inverse"):
+                m.inverse()
+        else:
+            assert m @ m.inverse() == Matrix.identity(k, p)
+            assert m.inverse() @ m == Matrix.identity(k, p)
+    assert singular > 0
+    with pytest.raises(ValueError, match="no inverse"):
+        Matrix.from_rows([(1, 0, 0), (0, 1, 0)], p).inverse()
+    with pytest.raises(ValueError, match="no inverse"):
+        Matrix.from_rows([(0, 0), (0, 0)], p).inverse()
+
+
 def test_nonzero_directions():
     assert nonzero_directions(2, 2) == ((0, 1), (1, 0), (1, 1))
     assert len(nonzero_directions(3, 5)) == (5 ** 3 - 1) // 4

@@ -27,12 +27,12 @@ MEMOISED = {
     "maximal.maximal_records": "record_for, criterion 5, 266 hits; 11 on cli",
     "maximal.record_for": "criterion 5's supplement joins, 8,446 hits",
     "factors.get_factor": "transfers and relatedness; 42,027 hits on jh",
-    "factors.chief_factor_catalog": "m_related, crossings; 4,359 hits on jh",
-    "factors.crossing_catalog": "m_related; 4,350 hits on jh, 0 calls on rs",
-    "factors.descends_to": "transfers, matching; 173,986 hits on jh",
-    "factors._action_matrices": "both sides of l_isomorphic; 5,635 on jh",
-    "factors.l_isomorphic": "l_connected per matched index; 4,687 on jh",
-    "factors.m_related": "matching_permutations' pairs; 18,699 hits on jh",
+    "factors.chief_factor_catalog": "callers and relation_table; 0 on jh, rs",
+    "factors.relation_table": "matching, m_related; 1,658 hits on jh",
+    "factors.descends_to": "transfers, crossings; 10,187 hits on jh",
+    "factors._action_matrices": "both sides of l_isomorphic; 2,462 on jh",
+    "factors.l_isomorphic": "l_connected, reversed pairs; 5,337 on jh",
+    "factors.m_related": "transfers that grow; 32 hits on jh, 0 calls on rs",
     "jordanholder.transfer_supplemented": "series pairs; 2,784 hits on jh",
     "jordanholder.transfer_frattini": "series pairs; 666 hits on jh",
 }
