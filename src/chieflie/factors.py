@@ -123,7 +123,6 @@ def _derived(l: LieAlgebra, u: Subspace) -> Subspace:
     return subspace_product(l, u, u)
 
 
-@lru_cache(maxsize=None)
 def chief_factor_catalog(l: LieAlgebra) -> tuple[ChiefFactor, ...]:
     """Every chief factor between ideals of L, canonically ordered: A/B is
     chief exactly when A is a minimal ideal over B."""

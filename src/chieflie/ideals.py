@@ -13,12 +13,11 @@ from functools import lru_cache, reduce
 
 from .algebra import (LieAlgebra, _check_subspaces, ad_matrix, is_ideal,
                       subspace_product)
-from .linalg import (BudgetExceeded, Subspace, _hash_once, _pack,
-                     quotient_coords, spin, subspace_intersect, subspace_leq,
-                     subspace_sum)
+from .linalg import (BudgetExceeded, Subspace, _hash_once, quotient_coords,
+                     spin, subspace_intersect, subspace_leq, subspace_sum)
 
 # Scans of more lines than this spin only an ad x Fitting cover's lines
-# (_direction_lifts).  Choosing x costs more than a short scan saves: at 0,
+# (_direction_scan).  Choosing x costs more than a short scan saves: at 0,
 # a seed-0 random_solvable pass (scans of at most 121 lines) took 1.8-2.1 s,
 # not 0.6-0.8 s (in-process, 2-vCPU Xeon VM, Python 3.11, October 2026);
 # sl2sum(5)'s 3,906-line scan restricts to 14 lines.
@@ -34,8 +33,8 @@ def ideal_closure(l: LieAlgebra, seed: Subspace,
     """Smallest ideal containing seed and base: linalg.spin of seed under
     ad L, which maps only rows new to the span.  base must already be an
     ideal (unchecked), so it is never spun."""
-    _check_subspaces(l, seed)
-    out = spin(l.ad_maps, seed._basis, base)
+    _check_subspaces(l, seed, l.zero_space if base is None else base)
+    out = spin(l.ad_maps, seed, base)
     return l.full if out.dim == l.n else out
 
 
@@ -63,6 +62,7 @@ def core(l: LieAlgebra, u: Subspace) -> Subspace:
 
 def centralizer_of_factor(l: LieAlgebra, a: Subspace, b: Subspace) -> Subspace:
     """C_L(A/B) = {x : [x, A] <= B}; an ideal whenever A, B are ideals."""
+    _check_subspaces(l, a, b)
     if not subspace_leq(b, a):
         raise ValueError("centralizer_of_factor needs B <= A")
     return l.ad_maps.sending(a, b)
@@ -96,12 +96,12 @@ def minimal_ideals_over(l: LieAlgebra, b: Subspace,
             raise ValueError("within must contain the base ideal")
         return tuple(a for a in minimal_ideals_over(l, b)
                      if subspace_leq(a, within))
+    qc, spaces = ideal_lattice(l).per_ideal(_direction_scan, b)
     seeds, closures = [], set()
-    for v in _direction_lifts(l, b):
-        v = _pack(v, l.p)
-        c = spin(l.ad_maps, (v,), b, seeds)
+    for line in qc.lines(spaces):
+        c = spin(l.ad_maps, line, b, seeds)
         if c is not None:
-            seeds.append(v)
+            seeds.append(line)
             closures.add(c)
     mins = [c for c in closures if not any(
         o.dim < c.dim and subspace_leq(o, c) for o in closures)]
@@ -139,32 +139,19 @@ def is_chief_pair(l: LieAlgebra, a: Subspace, b: Subspace) -> bool:
             and a in minimal_ideals_over(l, b))
 
 
-def _direction_lifts(l: LieAlgebra, b: Subspace):
-    """Lifts of lines of L/B whose closures over the ideal B include each
-    minimal ideal of L/B.  Above the cutoff, only the lines of the Fitting
-    cover of ad x on L/B, which every ideal N/B meets (_fitting_cover)."""
+def _direction_scan(l: LieAlgebra, b: Subspace):
+    """(qc, spaces) over the ideal B, built once per B for all_ideals'
+    budget and the search: qc = quotient_coords(L, B), and spaces None (all
+    lines) up to RESTRICT_ABOVE_LINES lines, else the Fitting cover of ad x
+    on L/B, which every ideal N/B meets, with fewest lines, for x a basis
+    row, all-ones or (1, 2, ..., n)."""
     qc = quotient_coords(l.full, b)
     if qc.line_count() <= RESTRICT_ABOVE_LINES:
-        return qc.line_lifts()
-    return qc.line_lifts(ideal_lattice(l).per_ideal(_fitting_cover, b))
-
-
-def _fitting_cover(l: LieAlgebra, b: Subspace) -> tuple[Subspace, ...]:
-    """The Fitting cover of ad x on L/B with fewest lines, for x the basis
-    row, all-ones or (1, 2, ..., n); built once per B, for all_ideals'
-    budget and the search."""
-    qc = quotient_coords(l.full, b)
+        return qc, None
     ramp = tuple((i + 1) % l.p for i in range(l.n))
     covers = [ad_matrix(l, x, qc).fitting_cover()
               for x in l.full.rows + ((1,) * l.n, ramp)]
-    return min(covers, key=qc.line_count)
-
-
-def _direction_lines(l: LieAlgebra, b: Subspace) -> int:
-    """How many lines _direction_lifts spins over the ideal B."""
-    lines = (l.p ** (l.n - b.dim) - 1) // (l.p - 1)
-    return lines if lines <= RESTRICT_ABOVE_LINES else quotient_coords(
-        l.full, b).line_count(ideal_lattice(l).per_ideal(_fitting_cover, b))
+    return qc, min(covers, key=qc.line_count)
 
 
 def all_ideals(l: LieAlgebra) -> tuple[Subspace, ...]:
@@ -175,7 +162,8 @@ def all_ideals(l: LieAlgebra) -> tuple[Subspace, ...]:
     lines = 0
     while queue:
         cur = queue.pop()
-        lines += _direction_lines(l, cur)
+        qc, spaces = ideal_lattice(l).per_ideal(_direction_scan, cur)
+        lines += qc.line_count(spaces)
         if lines > IDEAL_SCAN_CAP:
             raise BudgetExceeded(
                 f"ideal enumeration past {len(seen)} ideals would close "

@@ -108,10 +108,11 @@ def _gf2_add(basis: list[int], mask: int) -> int:
     return mask
 
 
-def _folder(w: int, masks):
-    """x -> x mod p in every w-bit lane below p(p-1), masks from
-    PrimeField.lanes: each step subtracts q where a lane is >= q."""
-    h, steps = masks
+def _folder(p: int, lanes: int):
+    """x -> x mod p in every lane of a packed GF(p)^lanes vector whose lanes
+    are below p(p-1): each step subtracts q where a lane is >= q."""
+    field = prime_field(p)
+    w, (h, steps) = field.w, field.lanes(lanes)
 
     def fold(x: int) -> int:
         for q, k in steps:
@@ -133,7 +134,7 @@ def _pair(p: int, lanes: int):
     if lanes in field.kernels:
         return field.kernels[lanes]
     w, inv = field.w, field.inv_table
-    fold = _folder(w, field.lanes(lanes))
+    fold = _folder(p, lanes)
     low = (1 << w) - 1
 
     def residue(basis, v):
@@ -345,8 +346,7 @@ class PackedMaps:
     @cached_property
     def _fold(self):
         """images' lane reduction, built once per maps."""
-        field = prime_field(self.p)
-        return _folder(field.w, field.lanes(self.n * self.n))
+        return _folder(self.p, self.n * self.n)
 
     def __getstate__(self):
         # the fold is a closure, so a copy rebuilds it on first use
@@ -387,23 +387,24 @@ class PackedMaps:
         return Subspace._of(n, p, [m for m in basis if not m >> s])
 
 
-def spin(maps: PackedMaps, vectors, base: Subspace | None = None,
+def spin(maps: PackedMaps, seed: Subspace, base: Subspace | None = None,
          stop=()) -> Subspace | None:
-    """The smallest subspace containing the packed vectors and base that
-    maps sends into itself.  base must already be invariant (unchecked), so
-    only the rows new to the span are mapped.  None as soon as the span,
-    grown past one dimension over base, contains a packed vector of stop."""
+    """The smallest subspace containing seed and base that maps sends into
+    itself.  base must already be invariant (unchecked), so only the rows
+    new to the span are mapped.  None as soon as the span, grown past one
+    dimension over base, contains one of the lines stop."""
     n, p = maps.n, maps.p
     residue, add = _pair(p, n)
     basis = [] if base is None else list(base._basis)
     floor = len(basis) + 1
-    todo, fresh = list(vectors), []
+    todo, fresh = list(seed._basis), []
     while len(basis) < n and (todo or fresh):
         if not todo:
             todo = maps.images(fresh.pop())
         v = add(basis, todo.pop())
         if v:
-            if len(basis) > floor and not all(residue(basis, s) for s in stop):
+            if len(basis) > floor and not all(
+                    residue(basis, s._basis[0]) for s in stop):
                 return None
             fresh.append(v)
     return Subspace._of(n, p, basis)
@@ -533,26 +534,37 @@ class QuotientCoords:
         return self.lifts.combine(q)
 
     def line_count(self, spaces=None) -> int:
-        """Lines of space/sub, or of the union of spaces (see line_lifts)."""
+        """Lines of space/sub, or of the union of spaces (see lines)."""
         dims = [self.dim] if spaces is None else [s.dim for s in spaces]
         return sum((self.sub.p ** d - 1) // (self.sub.p - 1) for d in dims)
 
-    def line_lifts(self, spaces=None):
-        """Yield one lifted vector v per line of space/sub, or of the union
-        of spaces (subspaces of GF(p)^k meeting pairwise in 0); every X with
+    def lines(self, spaces=None):
+        """Yield each line of space/sub, or of the union of spaces (subspaces
+        of GF(p)^k meeting pairwise in 0), as <v> for a lift v: every X with
         sub < X <= space, and X/sub meeting one of spaces if given, contains
-        sub + <v> for one of them.  Refuses (BudgetExceeded) above
-        ENUM_COUNT_CAP lines."""
-        k, p = self.dim, self.sub.p
+        sub + <v> for one of them.  v sums rows with distinct pivots, the
+        first with coefficient 1, so it is canonical as packed.  Refuses
+        (BudgetExceeded) above ENUM_COUNT_CAP lines."""
+        k, n, p = self.dim, self.sub.n, self.sub.p
         count = self.line_count(spaces)
         if count > ENUM_COUNT_CAP:
             raise BudgetExceeded(
                 f"direction scan of a {k}-dimensional quotient over GF({p}) "
                 f"exceeds cap {ENUM_COUNT_CAP}", count)
-        dirs = nonzero_directions(k, p) if spaces is None else (
-            s.combine(d) for s in spaces for d in nonzero_directions(s.dim, p))
-        for d in dirs:
-            yield self.lift(d)
+        fold = p != 2 and _folder(p, n)
+
+        def combine(rows, coeffs):
+            acc = 0
+            for c, row in zip(coeffs, rows):
+                if c:
+                    acc = fold(acc + c * row) if fold else acc ^ row
+            return acc
+
+        lifts = self.lifts._basis
+        for rows in [lifts] if spaces is None else [
+                [combine(lifts, q) for q in s.rows] for s in spaces]:
+            for d in nonzero_directions(len(rows), p):
+                yield Subspace._of(n, p, [combine(rows, d)])
 
 
 def quotient_coords(space: Subspace, sub: Subspace) -> QuotientCoords:

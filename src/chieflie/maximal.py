@@ -67,9 +67,8 @@ def is_maximal(l: LieAlgebra, u: Subspace) -> bool:
     """Proper subalgebra such that adjoining any outside vector generates L."""
     if u.dim >= l.n or not is_subalgebra(l, u):
         return False
-    return all(
-        subalgebra_closure(l, Subspace(l.n, l.p, u.rows + (v,))).dim == l.n
-        for v in quotient_coords(l.full, u).line_lifts())
+    return all(subalgebra_closure(l, subspace_sum(u, line)).dim == l.n
+               for line in quotient_coords(l.full, u).lines())
 
 
 def enumerated_maximal_subalgebras(l: LieAlgebra,

@@ -2,6 +2,7 @@
 
 import itertools
 import pickle
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -748,11 +749,14 @@ def test_m_related_supplemented_pairs_share_a_supplement():
 
 # -- the relation table against the catalog scans it replaced ---------------
 
+# The scans ask for the catalog once per pair, so keep one per algebra.
+scan_catalog = lru_cache(maxsize=None)(chief_factor_catalog)
+
 
 def scan_crossings(l):
     """The crossing catalog as a scan of every (Frattini, supplemented)
     pair of the chief-factor catalog."""
-    catalog = chief_factor_catalog(l)
+    catalog = scan_catalog(l)
     return tuple(make_crossing(f, g) for f in catalog if f.frattini
                  for g in catalog if g.supplemented and descends_to(f, g))
 
@@ -761,7 +765,7 @@ def scan_m_related(f, g, crossings, cases=(1, 2, 3, 4)):
     """m_related as a scan of the chief-factor catalog and the crossings,
     one loop per case, first witness first."""
     l = f.algebra
-    catalog = chief_factor_catalog(l)
+    catalog = scan_catalog(l)
     for case in cases:
         if case == 1:
             for r in catalog:

@@ -2,6 +2,7 @@
 
 import random
 import time
+from contextlib import contextmanager
 from functools import lru_cache
 
 import pytest
@@ -14,8 +15,8 @@ from chieflie.corpus import (abelian, h3_plus_line, heisenberg, nonabelian2,
 from chieflie.ideals import (ChiefSeries, all_ideals, centralizer,
                              centralizer_of_factor, chief_series, core,
                              derived_series, enumerate_chief_series,
-                             ideal_closure, is_chief_pair, is_solvable,
-                             make_chief_series, minimal_ideals,
+                             ideal_closure, ideal_lattice, is_chief_pair,
+                             is_solvable, make_chief_series, minimal_ideals,
                              minimal_ideals_over, socle, subalgebra_closure)
 from chieflie.linalg import (ENUM_COUNT_CAP, BudgetExceeded, Matrix, Subspace,
                              enumerate_subspaces, quotient_coords,
@@ -46,6 +47,12 @@ def test_ideal_closure_heisenberg():
 def test_ideal_closure_rejects_foreign_seed():
     with pytest.raises(ValueError):
         ideal_closure(heisenberg(2), Subspace.zero(3, 3))
+
+
+def test_ideal_closure_rejects_foreign_base():
+    l = heisenberg(3)
+    with pytest.raises(ValueError, match="not of L's"):
+        ideal_closure(l, span(l, (0, 1, 0)), Subspace.span(2, 3, [(1, 0)]))
 
 
 def test_ideal_closure_fixed_point_on_ideals():
@@ -179,6 +186,14 @@ def test_centralizer_requires_containment():
         centralizer_of_factor(l, span(l, (1, 0, 0)), span(l, (0, 1, 0)))
 
 
+def test_centralizer_rejects_foreign_subspaces():
+    l = heisenberg(3)
+    with pytest.raises(ValueError, match="not of L's"):
+        centralizer_of_factor(l, Subspace.full(2, 3), Subspace.zero(2, 3))
+    with pytest.raises(ValueError, match="not of L's"):
+        centralizer(l, Subspace.full(3, 5))
+
+
 # -- minimal ideals and socle ----------------------------------------------
 
 
@@ -263,10 +278,22 @@ def test_minimal_ideals_of_sl2_cubed():
     assert socle(l) == l.full
 
 
+@contextmanager
+def _cutoff(lines):
+    """The direction-scan cutoff set to lines; the per-ideal scans, made
+    under the cutoff of their time, are dropped on entry and exit."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ideals_module, "RESTRICT_ABOVE_LINES", lines)
+        ideal_lattice.cache_clear()
+        try:
+            yield
+        finally:
+            ideal_lattice.cache_clear()
+
+
 def _scan_body(cutoff, fn, *args):
     """fn's uncached body with the direction-scan cutoff set to cutoff."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ideals_module, "RESTRICT_ABOVE_LINES", cutoff)
+    with _cutoff(cutoff):
         return fn.__wrapped__(*args)
 
 
@@ -292,11 +319,10 @@ def _assert_restricted_scan_agrees(l):
             if subspace_leq(b, a):
                 assert _restricted_scan(is_chief_pair, l, a, b) == \
                     _full_scan(is_chief_pair, l, a, b)
-        qc = quotient_coords(l.full, b)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(ideals_module, "RESTRICT_ABOVE_LINES", 0)
-            lines = [Subspace(qc.dim, l.p, (qc.project(v),)) for v in
-                     ideals_module._direction_lifts(l, b)]
+        with _cutoff(0):
+            qc, spaces = ideals_module._direction_scan(l, b)
+        lines = [Subspace(qc.dim, l.p, (qc.project(v.rows[0]),))
+                 for v in qc.lines(spaces)]
         assert len(set(lines)) == len(lines)
     hyperplane = Subspace(l.n, l.p, l.full.rows[:-1])
     # A within search filters the memoised unrestricted search, so each side
@@ -321,13 +347,13 @@ def test_restricted_direction_scan_matches_full_scan_property(data):
 def _assert_search_matches_every_closure(l):
     """Under both cutoffs, on every ideal base B, the search with stopped
     spins keeps exactly the inclusion-minimal closures of all the lines
-    _direction_lifts yields, each closed in full by ideal_closure."""
+    _direction_scan yields, each closed in full by ideal_closure."""
     for cutoff in (0, ENUM_COUNT_CAP):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(ideals_module, "RESTRICT_ABOVE_LINES", cutoff)
+        with _cutoff(cutoff):
             for b in all_ideals(l):
-                closures = {ideal_closure(l, span(l, v), b) for v in
-                            ideals_module._direction_lifts(l, b)}
+                qc, spaces = ideals_module._direction_scan(l, b)
+                closures = {ideal_closure(l, line, b)
+                            for line in qc.lines(spaces)}
                 mins = [c for c in closures if not any(
                     o != c and subspace_leq(o, c) for o in closures)]
                 assert minimal_ideals_over.__wrapped__(l, b) == \
@@ -556,8 +582,8 @@ def test_enumerate_chief_series_truncation():
 
 def _closures(l, w, b):
     """The ideal closures of B + <v>, v over the lines of W/B, lazily."""
-    return (ideal_closure(l, Subspace(l.n, l.p, (v,)), b)
-            for v in quotient_coords(w, b).line_lifts())
+    return (ideal_closure(l, line, b)
+            for line in quotient_coords(w, b).lines())
 
 
 LATTICE_INPUTS = {"sl2sum(5)": sl2sum(5),

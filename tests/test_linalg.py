@@ -4,6 +4,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from chieflie.algebra import ad_matrix, subspace_product
+from chieflie.corpus import random_solvable
 from chieflie.linalg import (BudgetExceeded, Matrix, Subspace, count_subspaces,
                              enumerate_subspaces, gaussian_binomial,
                              nonzero_directions, quotient_coords, rref_rows,
@@ -378,6 +380,48 @@ def test_quotient_coords_match_u_in_w_construction(p):
         for v in outside:
             with pytest.raises(ValueError, match="outside"):
                 qc.project(v)
+
+
+def _assert_lines_match_tuple_path(qc, spaces=None):
+    """lines() is <lift(d)> over nonzero_directions and lines(spaces) is
+    <lift(s.combine(d))> over each space's, in order; each line is the
+    Subspace its one row builds, so its packed row is canonical."""
+    n, p = qc.sub.n, qc.sub.p
+    dirs = nonzero_directions(qc.dim, p) if spaces is None else [
+        s.combine(d) for s in spaces for d in nonzero_directions(s.dim, p)]
+    got = list(qc.lines(spaces))
+    assert got == [Subspace(n, p, [qc.lift(d)]) for d in dirs]
+    assert len(got) == qc.line_count(spaces)
+    for line in got:
+        assert line == Subspace(n, p, [line.rows[0]]) and line.dim == 1
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_quotient_lines_match_lifted_directions(p):
+    """Seeded (W, U) with every line and with the Fitting cover of a random
+    matrix on W/U; then L/U for U = 0 and U = [L, L] of seeded solvable
+    algebras, with the Fitting cover of a random ad x."""
+    rng = random.Random(2000 + p)
+    top = {2: 8, 3: 5, 5: 4, 7: 4}[p]
+    for trial in range(40):
+        n = rng.randint(1, top)
+        w = Subspace(n, p, [tuple(rng.randrange(p) for _ in range(n))
+                            for _ in range(rng.randint(0, n))])
+        u = Subspace(n, p, [w.combine([rng.randrange(p) for _ in range(w.dim)])
+                            for _ in range(rng.randint(0, w.dim))])
+        qc = quotient_coords(w, u)
+        _assert_lines_match_tuple_path(qc)
+        k = qc.dim
+        m = Matrix(p, tuple(tuple(rng.randrange(p) for _ in range(k))
+                            for _ in range(k)))
+        _assert_lines_match_tuple_path(qc, m.fitting_cover())
+    for seed in range(4):
+        l = random_solvable(top, p, seed)
+        for u in (l.zero_space, subspace_product(l, l.full, l.full)):
+            qc = quotient_coords(l.full, u)
+            x = tuple(rng.randrange(p) for _ in range(l.n))
+            _assert_lines_match_tuple_path(
+                qc, ad_matrix(l, x, qc).fitting_cover())
 
 
 def test_quotient_coords_requires_containment():

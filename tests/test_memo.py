@@ -14,12 +14,12 @@ import chieflie
 # cli = cli_analyze) or from criterion 5 (tests/test_acceptance.py).
 MEMOISED = {
     "field.prime_field": "every field operation; 41,147 hits on rs",
-    "linalg.nonzero_directions": "scans of a seen shape; 2,277 hits on rs",
+    "linalg.nonzero_directions": "scans of a seen shape; 768 hits on rs",
     "algebra.quotient_algebra": "maximal/Frattini recursion; 202 in crit. 5",
     "ideals.core": "the benchmark reads its hit ratio; 63 misses on cli",
     "ideals.minimal_ideals_over": "ideal and series searches; 2,599 on rs",
     "ideals.is_chief_pair": "factor and series checks; 12,280 hits on jh",
-    "ideals.ideal_lattice": "per-ideal answers, transfers; 6,118 hits on rs",
+    "ideals.ideal_lattice": "per-ideal answers, transfers; 7,480 hits on rs",
     "maximal.is_maximal": "criterion 5, 8,446 hits (19-22 s without); 0 on rs",
     "maximal.algebra_isomorphisms": "criterion 5, 240 hits; 2 on cli",
     "maximal.maximal_subalgebras": "containment masks; 2,269 hits on rs",
@@ -27,7 +27,6 @@ MEMOISED = {
     "maximal.maximal_records": "record_for, criterion 5, 266 hits; 11 on cli",
     "maximal.record_for": "criterion 5's supplement joins, 8,446 hits",
     "factors.get_factor": "transfers and relatedness; 42,027 hits on jh",
-    "factors.chief_factor_catalog": "callers and relation_table; 0 on jh, rs",
     "factors.relation_table": "matching, m_related; 1,658 hits on jh",
     "factors.descends_to": "transfers, crossings; 10,187 hits on jh",
     "factors._action_matrices": "both sides of l_isomorphic; 2,462 on jh",
