@@ -378,7 +378,7 @@ class MRelation:
 
 class RelationTable:
     """The descents among the n chief factors of L as bitsets over the
-    catalog, and each factor's witness rows, built on first use.  The
+    catalog, and each factor's and series' witness rows, on first use.  The
     catalog is the ideal lattice's cover relation: climbing it, ideal U
     gets the factors whose top (bits [0, n)) and bottom (bits [n, 2n)) lie
     above U, and descending it, those below U.  So by descends_to's three
@@ -392,7 +392,8 @@ class RelationTable:
         for i, f in enumerate(cat):
             own[f.a] = own.get(f.a, 0) | 1 << i
             own[f.b] = own.get(f.b, 0) | 1 << n + i
-        self._up, self._down, self._rows = dict(own), dict(own), {}
+        self._up, self._down = dict(own), dict(own)
+        self._rows, self._series = {}, {}
         for f in reversed(cat):    # higher tops first, so up[f.a] is done
             self._up[f.b] |= self._up[f.a]
         for f in cat:
@@ -425,6 +426,21 @@ class RelationTable:
                  for c, m in enumerate((anc, anc, desc, desc))]
             s, fr = anc & self._supp, desc & self._frat
             out = self._rows[f] = (s, x[0], fr, x[2]), (s, x[1], fr, x[3])
+        return out
+
+    def series_rows(self, series):
+        """A chief series' factor rows, as first factors and as second, each
+        factor's four packed into one int, case c from bit c * w on for w
+        the larger count of factors and crossings: a first and a second
+        factor are related exactly when their packed rows share a bit."""
+        out = self._series.get(series)
+        if out is None:
+            w, l = max(len(self.catalog), len(self.crossings)), series.algebra
+            rows = [self.rows(get_factor(l, a, b))
+                    for a, b in series.factor_pairs()]
+            out = self._series[series] = tuple(
+                tuple(sum(r << c * w for c, r in enumerate(row[role]))
+                      for row in rows) for role in (0, 1))
         return out
 
 

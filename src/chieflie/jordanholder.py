@@ -19,11 +19,12 @@ jh_permutation runs the appropriate transfer for every factor of the first
 series against the second, producing a permutation that pairs the factors
 index by index.  Every pair is verified to be related (by the witness a
 collapsed transfer built, else m_related), connected (l_connected),
-identically classified, and to share a common maximal
-supplement (and, for abelian factors, complement) when both sides admit
-them.  The permutation produced this way is the unique one pairing every
-index relatedly; matching_permutations enumerates all such pairings for
-small lengths so the uniqueness can be checked exhaustively.
+identically classified, and to share a common maximal supplement (and,
+for abelian factors, complement) when both sides admit them, once per
+(factor, series), on the memoised transfer.  The permutation produced this
+way is the unique one pairing every index relatedly; matching_permutations
+enumerates all such pairings for small lengths so the uniqueness can be
+checked exhaustively.
 
 cut_and_paste handles L = B + U for an ideal B and subalgebra U: the natural
 map U/(B n U) -> L/B is verified to be an isomorphism, and chief series and
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 
 from .algebra import (LieAlgebra, QuotientPresentation, SubalgebraPresentation,
                       bracket, is_ideal, is_subalgebra, preserves_brackets,
@@ -69,6 +70,21 @@ def _section_factor(l: LieAlgebra, top: Subspace,
     return get_factor(l, top, bot)
 
 
+# Kept on the lattice once per (factor, ideal): a seed-0 jh_corpus pass
+# reads 12,159 sum sections of 2,066 and 2,782 intersections of 976.
+def _sum_section(l: LieAlgebra, y: Subspace, f: ChiefFactor):
+    """f's sum section (A+Y)/(B+Y) along the ideal Y, None when
+    degenerate (_section_factor)."""
+    lat = ideal_lattice(l)
+    return _section_factor(l, lat.join(f.a, y), lat.join(f.b, y))
+
+
+def _meet_section(l: LieAlgebra, y: Subspace, f: ChiefFactor):
+    """f's intersection section (A n Y)/(B n Y), as _sum_section."""
+    lat = ideal_lattice(l)
+    return _section_factor(l, lat.meet(f.a, y), lat.meet(f.b, y))
+
+
 def _check_series_envelope(f: ChiefFactor, series: ChiefSeries):
     if series.algebra != f.algebra:
         raise ValueError("factor and series must belong to the same algebra")
@@ -81,8 +97,35 @@ def _check_series_envelope(f: ChiefFactor, series: ChiefSeries):
 # -- transfer of a supplemented factor --------------------------------------
 
 
+class _Transfer:
+    """evidence: jh_permutation's checked (relation, connection, shared
+    supplements, shared complements) of factor and series_factor, kept on
+    the memoised record, so computed once per (factor, series)."""
+
+    @cached_property
+    def evidence(self):
+        f, g = self.factor, self.series_factor
+        rel = self.relation or m_related(f, g)
+        require(rel is not None, "matched factors must be related")
+        conn = l_connected(f, g)
+        require(conn is not None, "matched factors must be connected")
+        require(f.frattini == g.frattini and f.supplemented == g.supplemented,
+                "matched factors must be classified identically")
+        shared_s = common_supplements(f, g) if f.supplemented else ()
+        if f.supplemented and g.supplemented:
+            require(bool(shared_s),
+                    "matched supplemented factors must share a maximal "
+                    "supplement")
+        shared_c = common_complements(f, g) if f.complemented else ()
+        if f.complemented and g.complemented and f.abelian and g.abelian:
+            require(bool(shared_c),
+                    "matched complemented factors must share a maximal "
+                    "complement")
+        return rel, conn, shared_s, shared_c
+
+
 @dataclass(frozen=True)
-class SupplementedTransfer:
+class SupplementedTransfer(_Transfer):
     """Where a supplemented chief factor lands along a chief series.
 
     index is the largest j whose sum section over terms[j-1] is a
@@ -120,8 +163,7 @@ def transfer_supplemented(f: ChiefFactor,
     l = f.algebra
     lat = ideal_lattice(l)
     a, b = f.a, f.b
-    sums = [(lat.join(a, y), lat.join(b, y)) for y in series.terms]
-    sections = [_section_factor(l, *s) for s in sums]
+    sections = [lat.per_ideal(_sum_section, y, f) for y in series.terms]
     qualifying = [j for j, s in enumerate(sections, 1) if s and s.supplemented]
     require(bool(qualifying),
             "a supplemented factor must have at least one supplemented sum "
@@ -136,9 +178,8 @@ def transfer_supplemented(f: ChiefFactor,
     require(descends_to(sum_middle, f),
             "qualifying sum section must descend onto the input factor")
 
-    ax, bx = sums[index]
-    if ax == bx:
-        require(ax == sum_middle.a,
+    if sections[index] is None:
+        require(lat.join(a, x) == sum_middle.a,
                 "collapsed sum over the step top must match the sum over "
                 "its bottom")
         require(descends_to(sum_middle, series_factor),
@@ -146,7 +187,7 @@ def transfer_supplemented(f: ChiefFactor,
         ay = lat.meet(a, y)
         require(ay == lat.meet(b, y) == lat.meet(b, x),
                 "denominator intersections must agree in the collapsed case")
-        inter_middle = _section_factor(l, lat.meet(a, x), ay)
+        inter_middle = lat.per_ideal(_meet_section, x, f)
         require(inter_middle is not None,
                 "collapsed case must produce an intersection factor")
         require(descends_to(f, inter_middle),
@@ -178,7 +219,7 @@ def transfer_supplemented(f: ChiefFactor,
 
 
 @dataclass(frozen=True)
-class FrattiniTransfer:
+class FrattiniTransfer(_Transfer):
     """Where a Frattini chief factor lands along a chief series.
 
     index is the smallest j whose intersection section with terms[j] is a
@@ -224,11 +265,10 @@ def transfer_frattini(f: ChiefFactor, series: ChiefSeries) -> FrattiniTransfer:
     # Scan up to the first Frattini section, keeping the one below it; the
     # first term lies inside B, so its section is degenerate and passed.
     for index, x in enumerate(series.terms):
-        meets = lat.meet(a, x), lat.meet(b, x)
-        inter_middle = _section_factor(l, *meets)
+        inter_middle = lat.per_ideal(_meet_section, x, f)
         if inter_middle and inter_middle.frattini:
             break
-        (ay, by), bottom_factor = meets, inter_middle
+        bottom_factor = inter_middle
     require(inter_middle is not None and inter_middle.frattini,
             "a Frattini factor must have at least one Frattini intersection "
             "section (the series ends above its numerator)")
@@ -240,8 +280,8 @@ def transfer_frattini(f: ChiefFactor, series: ChiefSeries) -> FrattiniTransfer:
             "input factor must descend onto the qualifying intersection "
             "section")
 
-    if ay == by:
-        require(ay == inter_middle.b,
+    if bottom_factor is None:
+        require(lat.meet(a, y) == inter_middle.b,
                 "collapsed intersection over the step bottom must match the "
                 "intersection over its top")
         require(descends_to(series_factor, inter_middle),
@@ -249,7 +289,7 @@ def transfer_frattini(f: ChiefFactor, series: ChiefSeries) -> FrattiniTransfer:
         ax = lat.join(a, x)
         require(lat.join(a, y) == ax == lat.join(b, x),
                 "numerator sums must agree in the collapsed case")
-        sum_middle = _section_factor(l, ax, lat.join(b, y))
+        sum_middle = lat.per_ideal(_sum_section, y, f)
         require(sum_middle is not None,
                 "collapsed case must produce a sum factor")
         require(descends_to(sum_middle, f),
@@ -358,34 +398,14 @@ def jh_permutation(first: ChiefSeries, second: ChiefSeries) -> JHReport:
     _check_series_pair(first, second)
     l = first.algebra
     matches = []
-    sigma = []
-    for i in range(1, first.length + 1):
-        f = get_factor(l, first.terms[i], first.terms[i - 1])
-        if f.supplemented:
-            tr = transfer_supplemented(f, second)
-        else:
-            tr = transfer_frattini(f, second)
-        j = tr.index
-        g = tr.series_factor
-        rel = tr.relation or m_related(f, g)
-        require(rel is not None, "matched factors must be related")
-        conn = l_connected(f, g)
-        require(conn is not None, "matched factors must be connected")
-        require(f.frattini == g.frattini and f.supplemented == g.supplemented,
-                "matched factors must be classified identically")
-        shared_s = common_supplements(f, g) if f.supplemented else ()
-        if f.supplemented and g.supplemented:
-            require(bool(shared_s),
-                    "matched supplemented factors must share a maximal "
-                    "supplement")
-        shared_c = common_complements(f, g) if f.complemented else ()
-        if f.complemented and g.complemented and f.abelian and g.abelian:
-            require(bool(shared_c),
-                    "matched complemented factors must share a maximal "
-                    "complement")
-        sigma.append(j)
-        matches.append(IndexMatch(i, j, f, g, rel, conn, tr,
-                                  shared_s, shared_c))
+    for i, (a, b) in enumerate(first.factor_pairs(), 1):
+        f = get_factor(l, a, b)
+        tr = (transfer_supplemented if f.supplemented
+              else transfer_frattini)(f, second)
+        rel, conn, shared_s, shared_c = tr.evidence
+        matches.append(IndexMatch(i, tr.index, f, tr.series_factor, rel, conn,
+                                  tr, shared_s, shared_c))
+    sigma = [m.image for m in matches]
     require(sorted(sigma) == list(range(1, first.length + 1)),
             "transfer indices must form a permutation")
     return JHReport(l, first, second, tuple(sigma), tuple(matches))
@@ -407,13 +427,10 @@ def matching_permutations(first: ChiefSeries,
         raise BudgetExceeded("permutation enumeration too large",
                              math.factorial(n))
     t = relation_table(l)
-    second_rows = [t.rows(get_factor(l, a, b))[1]
-                   for a, b in second.factor_pairs()]
+    second_rows = t.series_rows(second)[1]
     perms = [()]
-    for a, b in first.factor_pairs():
-        row = t.rows(get_factor(l, a, b))[0]
-        related = [j + 1 for j, r in enumerate(second_rows)
-                   if any(x & y for x, y in zip(row, r))]
+    for row in t.series_rows(first)[0]:
+        related = [j for j, r in enumerate(second_rows, 1) if row & r]
         perms = [q + (j,) for q in perms for j in related if j not in q]
     return tuple(perms)
 

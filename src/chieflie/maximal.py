@@ -227,17 +227,24 @@ def algebra_isomorphisms(a: LieAlgebra, b: LieAlgebra) -> tuple[Matrix, ...]:
         raise BudgetExceeded(f"isomorphism search scans p^{n} vectors", p ** n)
     gens = _generating_tuple(a)
     fps = [_ad_fingerprint(a, g) for g in gens]
-    buckets: dict[tuple, list] = {}
+    fp_of = {}    # every vector of b's fingerprint
     for d in nonzero_directions(n, p):
         fp = _ad_fingerprint(b, d)
         for c in range(1, p):
-            buckets.setdefault(_scaled_fingerprint(fp, c, p), []).append(
-                tuple(c * x % p for x in d))
-    for vs in buckets.values():
-        vs.sort()
+            fp_of[tuple(c * x % p for x in d)] = _scaled_fingerprint(fp, c, p)
+    buckets: dict[tuple, list] = {}
+    for v, fp in sorted(fp_of.items()):
+        buckets.setdefault(fp, []).append(v)
+    fp_of[(0,) * n] = _ad_fingerprint(b, (0,) * n)
+    # An isomorphism sends [g_i, g_j] to [img_i, img_j], of equal fingerprint.
+    pairs = [(i, j, _ad_fingerprint(a, bracket(a, gens[i], gens[j])))
+             for i, j in itertools.combinations(range(len(gens)), 2)]
     plan = _iso_plan(a, gens)
     found = []
     for imgs in itertools.product(*(buckets.get(fp, []) for fp in fps)):
+        if any(fp_of[bracket(b, imgs[i], imgs[j])] != fp
+               for i, j, fp in pairs):
+            continue
         theta = _apply_plan(b, plan, imgs)
         if theta is None:
             continue

@@ -10,11 +10,15 @@ from chieflie.algebra import direct_sum
 from chieflie.corpus import (abelian, h3_plus_line, heisenberg, nonabelian2,
                              r4, random_solvable, registry, sl2, sl2sum)
 from chieflie.errors import VerificationError
-from chieflie.factors import (chief_factor_catalog, crossing_catalog,
-                              descends_to, get_factor, m_related)
-from chieflie.ideals import (chief_series, core, enumerate_chief_series,
+from chieflie.factors import (chief_factor_catalog, common_complements,
+                              common_supplements, crossing_catalog,
+                              descends_to, get_factor, l_connected, m_related,
+                              relation_table)
+from chieflie.ideals import (IdealLattice, all_ideals, chief_series, core,
+                             enumerate_chief_series, is_chief_pair,
                              make_chief_series)
-from chieflie.jordanholder import (CutPaste, cut_and_paste, cut_maximal_down,
+from chieflie.jordanholder import (CutPaste, _meet_section, _sum_section,
+                                   cut_and_paste, cut_maximal_down,
                                    cut_series_down, jh_permutation,
                                    matching_permutations, paste_maximal_up,
                                    paste_series_up, transfer_frattini,
@@ -393,6 +397,116 @@ WITNESS_CORPUS = {e.name: e.algebra for e in registry()
 @pytest.mark.parametrize("name", sorted(WITNESS_CORPUS))
 def test_jh_witnesses_agree_with_m_related_on_the_corpus(name):
     _assert_witnesses_agree_with_m_related(WITNESS_CORPUS[name], cap=5000)
+
+
+# -- matching from answers kept per (factor, ideal), (factor, series) and
+# series ------------------------------------------------------------------
+
+
+# WITNESS_CORPUS, and seeded random algebras over GF(2), GF(3) and GF(5)
+# with their first 24 chief series.
+KEPT_ANSWER_CORPUS = {name: (l, 5000) for name, l in WITNESS_CORPUS.items()}
+KEPT_ANSWER_CORPUS.update(
+    (f"random_solvable({n},{p},{s})", (random_solvable(n, p, s), 24))
+    for n, p, s in [(5, 2, 1), (5, 2, 2), (5, 3, 0), (5, 3, 2), (4, 5, 0),
+                    (5, 5, 0), (5, 5, 5)])
+
+
+def _per_call_evidence(f, second):
+    """jh_permutation's per-index code before its evidence was kept on the
+    transfer record: the transfer, uncached, then its pair's relation,
+    connection and shared supplements and complements, checked."""
+    if f.supplemented:
+        tr = transfer_supplemented.__wrapped__(f, second)
+    else:
+        tr = transfer_frattini.__wrapped__(f, second)
+    g = tr.series_factor
+    rel = tr.relation or m_related(f, g)
+    assert rel is not None
+    conn = l_connected(f, g)
+    assert conn is not None
+    assert f.frattini == g.frattini and f.supplemented == g.supplemented
+    shared_s = common_supplements(f, g) if f.supplemented else ()
+    if f.supplemented and g.supplemented:
+        assert shared_s
+    shared_c = common_complements(f, g) if f.complemented else ()
+    if f.complemented and g.complemented and f.abelian and g.abelian:
+        assert shared_c
+    return tr.index, g, rel, conn, shared_s, shared_c
+
+
+def _per_factor_matching(first, second):
+    """matching_permutations before the relation table kept each series'
+    rows: every factor's rows read through get_factor, case by case."""
+    l = first.algebra
+    t = relation_table(l)
+    second_rows = [t.rows(get_factor(l, a, b))[1]
+                   for a, b in second.factor_pairs()]
+    perms = [()]
+    for a, b in first.factor_pairs():
+        row = t.rows(get_factor(l, a, b))[0]
+        related = [j + 1 for j, r in enumerate(second_rows)
+                   if any(x & y for x, y in zip(row, r))]
+        perms = [q + (j,) for q in perms for j in related if j not in q]
+    return tuple(perms)
+
+
+@pytest.mark.parametrize("name", sorted(KEPT_ANSWER_CORPUS))
+def test_kept_match_evidence_equals_per_call_code(name):
+    l, cap = KEPT_ANSWER_CORPUS[name]
+    series = all_series(l, cap=cap)
+    for xs in series:
+        for ys in series:
+            rep = jh_permutation(xs, ys)
+            for m, (a, b) in zip(rep.matches, xs.factor_pairs()):
+                assert m.factor == get_factor(l, a, b)
+                assert (m.image, m.partner, m.relation, m.connection,
+                        m.shared_supplements, m.shared_complements) == \
+                    _per_call_evidence(m.factor, ys)
+            assert matching_permutations(xs, ys) == \
+                _per_factor_matching(xs, ys) == (rep.sigma,)
+
+
+@pytest.mark.parametrize("name", sorted(KEPT_ANSWER_CORPUS))
+def test_series_rows_are_each_factors_rows_packed(name):
+    # case c of a packed row starts at bit c * w, w the larger of the
+    # catalog's and the crossings' counts
+    l, cap = KEPT_ANSWER_CORPUS[name]
+    t = relation_table(l)
+    w = max(len(t.catalog), len(t.crossings))
+    for s in all_series(l, cap=cap):
+        factors = [get_factor(l, a, b) for a, b in s.factor_pairs()]
+        for _ in range(2):    # built, then kept
+            packed = t.series_rows(s)
+            for role in (0, 1):
+                assert [tuple(r >> c * w & (1 << w) - 1 for c in range(4))
+                        for r in packed[role]] == \
+                    [t.rows(f)[role] for f in factors]
+
+
+@pytest.mark.parametrize("l", [heisenberg(3), h3_plus_line(2), r4(2),
+                               random_solvable(5, 2, 1),
+                               random_solvable(5, 3, 43),
+                               random_solvable(4, 5, 0)],
+                         ids=["heisenberg(3)", "h3_plus_line(2)", "r4(2)",
+                              "random_solvable(5,2,1)",
+                              "random_solvable(5,3,43)",
+                              "random_solvable(4,5,0)"])
+def test_lattice_sections_equal_fresh_sums_and_meets(l):
+    # along any ideal Y, a chief factor's sections are degenerate or chief
+    lat = IdealLattice(l)
+    for _ in range(2):    # computed, then kept
+        for f in chief_factor_catalog(l):
+            for y in all_ideals(l):
+                for section, op in ((_sum_section, subspace_sum),
+                                    (_meet_section, subspace_intersect)):
+                    top, bot = op(f.a, y), op(f.b, y)
+                    if top == bot:
+                        want = None
+                    else:
+                        assert is_chief_pair(l, top, bot)
+                        want = get_factor(l, top, bot)
+                    assert lat.per_ideal(section, y, f) == want
 
 
 @pytest.fixture(scope="module")

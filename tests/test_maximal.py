@@ -1,21 +1,26 @@
 """Tests for maximal subalgebras, Frattini subalgebra, and primitivity."""
 
 import itertools
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from chieflie import maximal
 from chieflie.algebra import (bracket, direct_sum, is_ideal, is_subalgebra,
-                              restrict_algebra)
+                              preserves_brackets, restrict_algebra)
 from chieflie.corpus import (abelian, h3_plus_line, heisenberg, nonabelian2,
                              r4, random_solvable, registry, sl2, sl2sum)
 from chieflie.errors import VerificationError
 from chieflie.ideals import (all_ideals, centralizer, centralizer_of_factor,
                              core, is_chief_pair, is_solvable, minimal_ideals)
-from chieflie.linalg import (BudgetExceeded, Matrix, Subspace, rref_rows,
+from chieflie.linalg import (BudgetExceeded, Matrix, Subspace,
+                             nonzero_directions, rref_rows,
                              subspace_intersect, subspace_leq, subspace_sum)
-from chieflie.maximal import (MaximalRecord, PrimitiveKind, _ad_fingerprint,
-                              _scaled_fingerprint, algebra_isomorphisms,
+from chieflie.maximal import (MaximalRecord, PrimitiveKind, _abelian_part,
+                              _ad_fingerprint, _apply_plan, _generating_tuple,
+                              _iso_plan, _scaled_fingerprint,
+                              algebra_isomorphisms,
                               complements_of, enumerated_maximal_subalgebras,
                               frattini, is_frattini_factor, is_maximal,
                               is_monolithic, maximal_records,
@@ -476,6 +481,62 @@ def test_isomorphisms_between_distinct_copies():
             for t in range(s + 1, n):
                 assert th.apply(bracket(r1, _unit(n, s), _unit(n, t))) == \
                     bracket(r2, th.apply(_unit(n, s)), th.apply(_unit(n, t)))
+
+
+def _unpruned_isomorphisms(a, b):
+    """algebra_isomorphisms before the bracket-fingerprint skip: every
+    product of the generators' fingerprint buckets is tried."""
+    if a.p != b.p or a.n != b.n:
+        return ()
+    p, n = a.p, a.n
+    abelian_parts = (_abelian_part(a, a.full), _abelian_part(b, b.full))
+    if any(abelian_parts):
+        return (Matrix.identity(n, p),) if all(abelian_parts) else ()
+    if n == 0:
+        return (Matrix.from_rows((), p),)
+    gens = _generating_tuple(a)
+    fps = [_ad_fingerprint(a, g) for g in gens]
+    buckets = {}
+    for d in nonzero_directions(n, p):
+        fp = _ad_fingerprint(b, d)
+        for c in range(1, p):
+            buckets.setdefault(_scaled_fingerprint(fp, c, p), []).append(
+                tuple(c * x % p for x in d))
+    for vs in buckets.values():
+        vs.sort()
+    plan = _iso_plan(a, gens)
+    found = []
+    for imgs in itertools.product(*(buckets.get(fp, []) for fp in fps)):
+        theta = _apply_plan(b, plan, imgs)
+        if theta is None:
+            continue
+        if len(rref_rows(theta.rows, p)) < n:
+            continue
+        if preserves_brackets(theta, partial(bracket, a), partial(bracket, b)):
+            found.append(theta)
+    return tuple(found)
+
+
+def test_isomorphism_skip_keeps_the_unpruned_answers(monkeypatch):
+    # every pair the registry's maximal-subalgebra searches (_graph_maximals)
+    # and primitivity checks ask, on each algebra and its primitive
+    # quotients, and sl2(7) with itself, whose buckets hold 48 vectors
+    asked = {}
+    real = maximal.algebra_isomorphisms
+
+    def record(a, b):
+        asked[a, b] = None
+        return real(a, b)
+
+    monkeypatch.setattr(maximal, "algebra_isomorphisms", record)
+    for entry in registry():
+        l = entry.algebra
+        for q in [l] + [r.quotient for r in maximal_records(l)]:
+            maximal_subalgebras.__wrapped__(q)
+            primitive_type(q)
+    assert asked    # the two sl2 summands of sl2sum(5)
+    for a, b in list(asked) + [(sl2(7), sl2(7))]:
+        assert real.__wrapped__(a, b) == _unpruned_isomorphisms(a, b)
 
 
 def test_isomorphisms_mismatches_are_empty():

@@ -18,20 +18,20 @@ MEMOISED = {
     "algebra.quotient_algebra": "maximal/Frattini recursion; 202 in crit. 5",
     "ideals.core": "the benchmark reads its hit ratio; 63 misses on cli",
     "ideals.minimal_ideals_over": "ideal and series searches; 2,599 on rs",
-    "ideals.is_chief_pair": "factor and series checks; 12,280 hits on jh",
-    "ideals.ideal_lattice": "per-ideal answers, transfers; 7,480 hits on rs",
+    "ideals.is_chief_pair": "factor and series checks; 2,196 hits on jh",
+    "ideals.ideal_lattice": "per-ideal answers, transfers; 10,131 hits on rs",
     "maximal.is_maximal": "criterion 5, 8,446 hits (19-22 s without); 0 on rs",
     "maximal.algebra_isomorphisms": "criterion 5, 240 hits; 2 on cli",
     "maximal.maximal_subalgebras": "containment masks; 2,269 hits on rs",
     "maximal.frattini": "one Frattini preimage per denominator; 518 on rs",
     "maximal.maximal_records": "record_for, criterion 5, 266 hits; 11 on cli",
     "maximal.record_for": "criterion 5's supplement joins, 8,446 hits",
-    "factors.get_factor": "transfers and relatedness; 42,027 hits on jh",
+    "factors.get_factor": "transfers and relatedness; 11,159 hits on jh",
     "factors.relation_table": "matching, m_related; 1,658 hits on jh",
     "factors.descends_to": "transfers, crossings; 10,187 hits on jh",
     "factors._action_matrices": "both sides of l_isomorphic; 2,462 on jh",
-    "factors.l_isomorphic": "l_connected, reversed pairs; 5,337 on jh",
-    "factors.m_related": "transfers that grow; 32 hits on jh, 0 calls on rs",
+    "factors.l_isomorphic": "l_connected, reversed pairs; 1,887 on jh",
+    "factors.m_related": "transfers that grow; 8 hits on jh, 0 calls on rs",
     "jordanholder.transfer_supplemented": "series pairs; 2,784 hits on jh",
     "jordanholder.transfer_frattini": "series pairs; 666 hits on jh",
 }
