@@ -148,6 +148,11 @@ def complements_relaxed(l: LieAlgebra, a: Subspace, b: Subspace,
             and subspace_intersect(a, m) == b)
 
 
+def _same_algebra(f: ChiefFactor, g: ChiefFactor) -> None:
+    if f.algebra != g.algebra:
+        raise ValueError("the two chief factors must be of the same algebra")
+
+
 # -- descent ----------------------------------------------------------------
 
 
@@ -159,8 +164,7 @@ def complements_relaxed(l: LieAlgebra, a: Subspace, b: Subspace,
 @lru_cache(maxsize=None)
 def descends_to(f: ChiefFactor, g: ChiefFactor) -> bool:
     """Whether A/B descends onto C/D: A = B + C and B n C = D."""
-    if f.algebra != g.algebra:
-        raise ValueError("descent relates factors of the same algebra")
+    _same_algebra(f, g)
     return (subspace_leq(g.a, f.a) and subspace_leq(g.b, f.b)
             and not subspace_leq(g.a, f.b))
 
@@ -181,6 +185,7 @@ class MCrossing:
 
 
 def is_m_crossing(f: ChiefFactor, g: ChiefFactor) -> bool:
+    _same_algebra(f, g)
     return f.frattini and g.supplemented and descends_to(f, g)
 
 
@@ -240,8 +245,7 @@ def _action_matrices(f: ChiefFactor):
 
 def module_hom_space(f: ChiefFactor, g: ChiefFactor) -> Subspace:
     """The space of module homomorphisms A/B -> C/D as flattened matrices."""
-    if f.algebra != g.algebra:
-        raise ValueError("homomorphisms relate factors of the same algebra")
+    _same_algebra(f, g)
     l = f.algebra
     p = l.p
     df, dg = f.dim, g.dim
@@ -277,14 +281,17 @@ def l_isomorphic(f: ChiefFactor, g: ChiefFactor) -> Matrix | None:
     (irreducibility), which is re-verified rather than assumed.  So the
     inverse of such a map for g and f is one for f and g: only the pair's
     orientation with the smaller key first is solved, and f is its own.
+    One-dimensional factors are not solved: their module maps are scalars,
+    so the solve's answer is the identity when their weights agree, else None.
     """
-    if f.algebra != g.algebra:
-        raise ValueError("module comparison relates factors of the same "
-                         "algebra")
+    _same_algebra(f, g)
     if f.dim != g.dim:
         return None
     if f == g:
         return Matrix.identity(f.dim, f.algebra.p)
+    if f.dim == 1:
+        return (Matrix.identity(1, f.algebra.p) if _action_matrices(f)[1]
+                == _action_matrices(g)[1] else None)
     if g.key() < f.key():
         theta = l_isomorphic(g, f)
         return None if theta is None else theta.inverse()
@@ -332,8 +339,7 @@ class LConnection:
 
 
 def l_connected(f: ChiefFactor, g: ChiefFactor) -> LConnection | None:
-    if f.algebra != g.algebra:
-        raise ValueError("connectedness relates factors of the same algebra")
+    _same_algebra(f, g)
     iso = l_isomorphic(f, g)
     if iso is not None:
         return LConnection("module_isomorphic", iso=iso)
@@ -465,8 +471,7 @@ def m_related(f: ChiefFactor, g: ChiefFactor,
     below, then a common Frattini descendant, then a crossing above; within
     a case, the lowest bit of the rows' AND is the first in scan order.
     """
-    if f.algebra != g.algebra:
-        raise ValueError("relatedness applies to factors of the same algebra")
+    _same_algebra(f, g)
     t = relation_table(f.algebra)
     first, second = t.rows(f)[0], t.rows(g)[1]
     for case in cases:
@@ -484,11 +489,13 @@ def m_related(f: ChiefFactor, g: ChiefFactor,
 
 def common_supplements(f: ChiefFactor, g: ChiefFactor) -> tuple[Subspace, ...]:
     """Maximal subalgebras supplementing both factors."""
+    _same_algebra(f, g)
     other = set(g.supplements)
     return tuple(m for m in f.supplements if m in other)
 
 
 def common_complements(f: ChiefFactor, g: ChiefFactor) -> tuple[Subspace, ...]:
+    _same_algebra(f, g)
     other = set(g.complements)
     return tuple(m for m in f.complements if m in other)
 

@@ -2,14 +2,14 @@
 
 import itertools
 import pickle
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from chieflie import maximal as maximal_module
-from chieflie.algebra import (LieAlgebra, bracket, quotient_algebra,
-                              subspace_product)
+from chieflie.algebra import (LieAlgebra, bracket, preserves_brackets,
+                              quotient_algebra, subspace_product)
 from chieflie.corpus import (abelian, h3_plus_line, heisenberg, nonabelian2,
                              r4, random_solvable, registry, sl2, sl2sum)
 from chieflie.errors import VerificationError
@@ -557,6 +557,57 @@ def test_l_isomorphic_both_ways_are_inverse_l_isomorphisms():
     assert both_ways[5, False] == 4    # a1/0, L/a2 and a2/0, L/a1
 
 
+def _solved_l_isomorphic(f, g):
+    """l_isomorphic with every pair solved: the module-hom system of the
+    smaller-key orientation, then the first nonzero kernel vector that is
+    nonsingular and keeps the bracket; the other orientation inverts it."""
+    if f.dim != g.dim:
+        return None
+    if f == g:
+        return Matrix.identity(f.dim, f.algebra.p)
+    if g.key() < f.key():
+        theta = _solved_l_isomorphic(g, f)
+        return None if theta is None else theta.inverse()
+    from chieflie.factors import _action_matrices, _factor_bracket
+    p, d = f.algebra.p, f.dim
+    qf, _ = _action_matrices(f)
+    qg, _ = _action_matrices(g)
+    for flat in module_hom_space(f, g).vectors():
+        if any(flat):
+            rows = tuple(tuple(flat[r * d + c] for c in range(d))
+                         for r in range(d))
+            assert len(rref_rows(rows, p)) == d
+            theta = Matrix.from_rows(rows, p)
+            if preserves_brackets(theta, partial(_factor_bracket, f, qf),
+                                  partial(_factor_bracket, g, qg)):
+                return theta
+    return None
+
+
+def test_one_dimensional_l_isomorphic_matches_the_solve():
+    """l_isomorphic answers one-dimensional pairs from their 1x1 actions,
+    without a solve; it returns what the solve returns on every ordered pair
+    of one-dimensional catalog factors of the registry and of draws over
+    GF(2), GF(3), GF(5) and GF(7) with n = 3-5.  Draws with more than 80
+    such factors (up to 627) are left out: they would take the reference
+    solve a minute or more."""
+    draws = [random_solvable(n, p, s) for p in (2, 3, 5, 7)
+             for n in (3, 4, 5) for s in range(3)]
+    draws += [random_solvable(5, 5, 5), random_solvable(5, 5, 7),
+              random_solvable(5, 7, 9)]
+    isomorphic = {}
+    for l in [e.algebra for e in registry()] + draws:
+        lines = [f for f in chief_factor_catalog(l) if f.dim == 1]
+        if len(lines) > 80:
+            continue
+        for f in lines:
+            for g in lines:
+                theta = _solved_l_isomorphic(f, g)
+                assert l_isomorphic(f, g) == theta, (l, f, g)
+                isomorphic.setdefault(l.p, set()).add(theta is not None)
+    assert isomorphic == {p: {True, False} for p in (2, 3, 5, 7)}
+
+
 def test_l_isomorphic_self():
     for l in SMALL + [sl2(5)]:
         for f in chief_factor_catalog(l):
@@ -618,6 +669,26 @@ def test_l_connected_rejects_mixed_algebras():
     g = chief_factor_catalog(r4(2))[0]
     with pytest.raises(ValueError):
         l_connected(f, g)
+
+
+def test_factor_pair_functions_reject_mixed_algebras():
+    """Every function of two chief factors refuses factors of two algebras,
+    also where an answer would look plausible: 9 of the 96 pairs of
+    random_solvable(4, 2, 1) and (4, 2, 2) have a maximal subalgebra of
+    GF(2)^4 on both supplement lists, and 80 have a first factor that is
+    not Frattini, which is_m_crossing could answer without the second."""
+    pairs = [(f, g) for f in chief_factor_catalog(random_solvable(4, 2, 1))
+             for g in chief_factor_catalog(random_solvable(4, 2, 2))]
+    assert sum(bool(set(f.supplements) & set(g.supplements))
+               for f, g in pairs) == 9
+    assert sum(not f.frattini for f, _ in pairs) == 80
+    for f, g in pairs:
+        for x, y in ((f, g), (g, f)):
+            for relation in (common_supplements, common_complements,
+                             is_m_crossing, descends_to, module_hom_space,
+                             l_isomorphic, l_connected, m_related):
+                with pytest.raises(ValueError, match="same algebra"):
+                    relation(x, y)
 
 
 # -- relatedness -------------------------------------------------------------

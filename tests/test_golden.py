@@ -15,7 +15,9 @@ from chieflie.cli import main
 
 # `chief-series` on the jh_corpus algebras (every registry entry with
 # n <= 4 and p <= 3) and on one GF(5) draw past the workloads; `jh
-# --all-pairs`, text and structured, on the same algebras and two draws;
+# --all-pairs`, text and structured, on the same algebras and three draws
+# (seed 14's matches pair one- and two-dimensional factors, so a report
+# reads both routes of l_isomorphic);
 # `analyze`, text and structured, on the 11 registry entries (the
 # cli_analyze commands), sl2(7) and two draws.
 GOLDEN = (
@@ -83,6 +85,10 @@ GOLDEN = (
      "7f7130fb78a1fd7ae70aad101570bad35ccccdb69e9d870d85d13ce55f2a62da"),
     ("jh corpus:random --field 2 --dim 4 --seed 46 --all-pairs --format structured",
      "629345b231f7d63e291d03be9a4e40ca4a369b33a15a589c5f332c7c582e6d5e"),
+    ("jh corpus:random --field 2 --dim 5 --seed 14 --all-pairs --format text",
+     "638f37d828f3c168cacc85c3957796e61a3ca8347ec47398373b60ad5d5aa9b4"),
+    ("jh corpus:random --field 2 --dim 5 --seed 14 --all-pairs --format structured",
+     "75d9e755f503fe03b1a0c2390ceb3161c04c70e84f3944e169115feb12f334b9"),
     ("analyze corpus:abelian --field 2 --dim 2 --format text",
      "7c0f5a7d63de4e9ced2635240e63e42e74f7ba56918ebbef3acba5dae3d6db36"),
     ("analyze corpus:abelian --field 2 --dim 2 --format structured",

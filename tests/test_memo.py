@@ -30,7 +30,7 @@ MEMOISED = {
     "factors.relation_table": "matching, m_related; 1,658 hits on jh",
     "factors.descends_to": "transfers, crossings; 10,187 hits on jh",
     "factors._action_matrices": "both sides of l_isomorphic; 2,462 on jh",
-    "factors.l_isomorphic": "l_connected, reversed pairs; 1,887 on jh",
+    "factors.l_isomorphic": "l_connected per (factor, series); 1,237 on jh",
     "factors.m_related": "transfers that grow; 8 hits on jh, 0 calls on rs",
     "jordanholder.transfer_supplemented": "series pairs; 2,784 hits on jh",
     "jordanholder.transfer_frattini": "series pairs; 666 hits on jh",
