@@ -25,7 +25,10 @@ the supplements of C/D.
 Two chief factors are *related* when they are tied together by one of four
 witness shapes: a common supplemented ancestor, a crossing hanging below
 both, a common Frattini descendant, or a crossing hanging above both.  This
-is the equivalence used by the chief-series matching theorems.
+is the equivalence used by the chief-series matching theorems.  The two
+crossing shapes never decide it: a crossing below both gives them a common
+supplemented ancestor, and one above both a common Frattini descendant
+(proof in RelationTable).
 """
 
 from __future__ import annotations
@@ -158,7 +161,7 @@ def _same_algebra(f: ChiefFactor, g: ChiefFactor) -> None:
 
 # descends_to and the two series transfers (jordanholder) are memoised
 # because matching revisits the same arguments: on a seed-0 jh_corpus pass
-# (the 1663 ordered pairs of criterion 3), descends_to runs 10,730 times on
+# (the 1663 ordered pairs of criterion 3), descends_to runs 10,754 times on
 # 543 distinct factor pairs and the transfers 6,132 times on 2,682 distinct
 # (factor, series) pairs.
 @lru_cache(maxsize=None)
@@ -384,13 +387,46 @@ class MRelation:
 
 class RelationTable:
     """The descents among the n chief factors of L as bitsets over the
-    catalog, and each factor's and series' witness rows, on first use.  The
-    catalog is the ideal lattice's cover relation: climbing it, ideal U
-    gets the factors whose top (bits [0, n)) and bottom (bits [n, 2n)) lie
-    above U, and descending it, those below U.  So by descends_to's three
+    catalog, and each series' relation rows, on first use.  The catalog is
+    the ideal lattice's cover relation: climbing it, ideal U gets the
+    factors whose top (bits [0, n)) and bottom (bits [n, 2n)) lie above U,
+    and descending it, those below U.  So by descends_to's three
     containments the factors descending onto C/D are tops above C &
     bottoms above D & ~bottoms above C, and those A/B descends onto tops
-    below A & bottoms below B & ~tops below B (_family)."""
+    below A & bottoms below B & ~tops below B (_family).
+
+    The crossing shapes never decide relatedness: case 2 implies case 1 and
+    case 4 implies case 3.  Let [U/V -> W/X] be a crossing, so U/V is
+    Frattini, W/X supplemented, both abelian, U = V + W and X = V n W; let
+    M be a maximal supplement of W/X and N = M n U.
+    (a) Descent is transitive: if A/B -> C/D -> E/F, then E <= B would put
+        E in B n C = D.
+    (b) N is an ideal, U = W + N and N n W = X.  [W, U] <= X <= M, because
+        [W, V] <= V n W and W/X is abelian; L = M + W, so [L, N] <= N; the
+        modular law gives U = W + N; and M n W is an ideal by the same
+        argument, between X and W and not W.
+    (c) V is not in M, or M would supplement the Frattini U/V, since
+        U + M >= W + M = L.  So neither V nor W lies in N.
+    Case 2 => case 1, for V/X chief: U/N ~ W/X is chief, M supplements it,
+    and by (c) it descends onto both V/X and W/X; by (a) it is a
+    supplemented common ancestor of every case-2 pair of the crossing.
+    Case 4 => case 3, for U/W chief: V/X ~ U/W is chief too, and U/X =
+    V/X + W/X.  N/X is a module complement of W/X other than V/X, so it is
+    the graph of a module isomorphism V/X -> W/X; V acts trivially on W/X,
+    so, through it, on V/X too, and U/X is abelian.  Take a maximal
+    subalgebra K >= X with U not in K: Y = K n U is an ideal (U/X is
+    abelian) and K + U = L.  If Y != N, some subalgebra C has C n U = X
+    and C + U = L: C = K if Y = X; otherwise Y/X and N/X are distinct
+    simple submodules of U/X, so Y n N = X and Y + N = U, and C = K n M,
+    where a dimension count gives C + U = L.  Then (C + V) n U = V, so a
+    maximal subalgebra above C + V supplements U/V, a contradiction.  So
+    every maximal subalgebra above X contains N, N/X is Frattini, and as
+    U/V and U/W descend onto it, by (a) it is a Frattini common
+    descendant of every case-4 pair.
+    So in m_related's order 1, 2, 3, 4, cases 2 and 4 never come first, and
+    N does not depend on M.  Relatedness is read from cases 1 and 3 only
+    (series_rows), and the crossing columns are scanned only for a probe
+    that names case 2 or 4 (m_related)."""
 
     def __init__(self, l: LieAlgebra):
         cat = self.catalog = chief_factor_catalog(l)
@@ -399,7 +435,7 @@ class RelationTable:
             own[f.a] = own.get(f.a, 0) | 1 << i
             own[f.b] = own.get(f.b, 0) | 1 << n + i
         self._up, self._down = dict(own), dict(own)
-        self._rows, self._series = {}, {}
+        self._series = {}
         for f in reversed(cat):    # higher tops first, so up[f.a] is done
             self._up[f.b] |= self._up[f.a]
         for f in cat:
@@ -420,33 +456,19 @@ class RelationTable:
         return (up[f.a] & up[f.b] >> n & ~(up[f.a] >> n),
                 down[f.a] & down[f.b] >> n & ~down[f.b])
 
-    def rows(self, f: ChiefFactor):
-        """f's witness rows for cases 1-4, as the first factor of a pair and
-        as the second: its supplemented ancestors; the crossings whose V/X
-        (first) or W/X (second) is an ancestor; its Frattini descendants;
-        the crossings whose U/V (first) or U/W (second) is a descendant."""
-        out = self._rows.get(f)
-        if out is None:
-            anc, desc = self._family(f)
-            x = [sum(1 << k for k, e in enumerate(self._ends) if e[c] & m)
-                 for c, m in enumerate((anc, anc, desc, desc))]
-            s, fr = anc & self._supp, desc & self._frat
-            out = self._rows[f] = (s, x[0], fr, x[2]), (s, x[1], fr, x[3])
-        return out
-
     def series_rows(self, series):
-        """A chief series' factor rows, as first factors and as second, each
-        factor's four packed into one int, case c from bit c * w on for w
-        the larger count of factors and crossings: a first and a second
-        factor are related exactly when their packed rows share a bit."""
+        """A chief series' relation rows, one int per factor: its
+        supplemented ancestors in bits [0, n) and its Frattini descendants
+        from bit n, so two factors are related exactly when their rows
+        share a bit."""
         out = self._series.get(series)
         if out is None:
-            w, l = max(len(self.catalog), len(self.crossings)), series.algebra
-            rows = [self.rows(get_factor(l, a, b))
-                    for a, b in series.factor_pairs()]
+            n, l = len(self.catalog), series.algebra
+            families = [self._family(get_factor(l, a, b))
+                        for a, b in series.factor_pairs()]
             out = self._series[series] = tuple(
-                tuple(sum(r << c * w for c, r in enumerate(row[role]))
-                      for row in rows) for role in (0, 1))
+                anc & self._supp | (desc & self._frat) << n
+                for anc, desc in families)
         return out
 
 
@@ -468,22 +490,29 @@ def m_related(f: ChiefFactor, g: ChiefFactor,
 
     The optional case restriction lets callers probe a single witness shape;
     the default order tries a common supplemented ancestor, then a crossing
-    below, then a common Frattini descendant, then a crossing above; within
-    a case, the lowest bit of the rows' AND is the first in scan order.
+    below, then a common Frattini descendant, then a crossing above, though
+    a crossing never comes first (RelationTable); within a case, the first
+    witness in catalog or crossing order.
     """
     _same_algebra(f, g)
     t = relation_table(f.algebra)
-    first, second = t.rows(f)[0], t.rows(g)[1]
+    (f_anc, f_desc), (g_anc, g_desc) = t._family(f), t._family(g)
     for case in cases:
         if case not in (1, 2, 3, 4):
             raise ValueError(f"unknown relatedness case {case}")
-        hit = first[case - 1] & second[case - 1]
-        if hit:
-            k = (hit & -hit).bit_length() - 1
-            if case in (1, 3):
-                return MRelation(case, t.catalog[k])
-            middle = t._ends[k][0 if case == 2 else 3].bit_length() - 1
-            return MRelation(case, t.catalog[middle], t.crossings[k])
+        if case in (1, 3):
+            hit = (f_anc & g_anc & t._supp if case == 1
+                   else f_desc & g_desc & t._frat)
+            if hit:
+                return MRelation(case, t.catalog[(hit & -hit).bit_length() - 1])
+            continue
+        # Case 2: a crossing whose V/X descends onto f and W/X onto g;
+        # case 4: one with f descending onto its U/V and g onto its U/W.
+        c, mf, mg = (0, f_anc, g_anc) if case == 2 else (2, f_desc, g_desc)
+        for k, ends in enumerate(t._ends):
+            if ends[c] & mf and ends[c + 1] & mg:
+                middle = ends[0 if case == 2 else 3].bit_length() - 1
+                return MRelation(case, t.catalog[middle], t.crossings[k])
     return None
 
 

@@ -135,6 +135,7 @@ def is_chief_pair(l: LieAlgebra, a: Subspace, b: Subspace) -> bool:
     """A/B is a chief factor: both ideals, B < A, nothing of L strictly
     between, that is A is a minimal ideal over B.  Membership makes A an
     ideal with B < A, so only B is tested, first, as the search needs."""
+    _check_subspaces(l, a, b)
     return (ideal_lattice(l).per_ideal(is_ideal, b)
             and a in minimal_ideals_over(l, b))
 

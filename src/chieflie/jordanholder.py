@@ -17,11 +17,12 @@ claim that is forced by the inputs fails.
 
 jh_permutation runs the appropriate transfer for every factor of the first
 series against the second, producing a permutation that pairs the factors
-index by index.  Every pair is verified to be related (by the witness a
-collapsed transfer built, else m_related), connected (l_connected),
-identically classified, and to share a common maximal supplement (and,
-for abelian factors, complement) when both sides admit them, once per
-(factor, series), on the memoised transfer.  The permutation produced this
+index by index.  Every pair is verified to be related (by the witness its
+transfer built: a section when the transfer collapses, else one from the
+transfer's own crossing), connected (l_connected), identically
+classified, and to share a common maximal supplement (and, for abelian
+factors, complement) when both sides admit them, once per (factor,
+series), on the memoised transfer.  The permutation produced this
 way is the unique one pairing every index relatedly; matching_permutations
 enumerates all such pairings for small lengths so the uniqueness can be
 checked exhaustively.
@@ -44,8 +45,8 @@ from .algebra import (LieAlgebra, QuotientPresentation, SubalgebraPresentation,
 from .errors import require
 from .factors import (ChiefFactor, LConnection, MCrossing, MRelation,
                       common_complements, common_supplements, descends_to,
-                      get_factor, is_m_crossing, l_connected, m_related,
-                      make_crossing, relation_table)
+                      get_factor, is_m_crossing, l_connected, make_crossing,
+                      relation_table)
 from .ideals import (ChiefSeries, core, ideal_lattice, is_chief_pair,
                      make_chief_series)
 from .linalg import (BudgetExceeded, Matrix, Subspace, rref_rows,
@@ -105,8 +106,6 @@ class _Transfer:
     @cached_property
     def evidence(self):
         f, g = self.factor, self.series_factor
-        rel = self.relation or m_related(f, g)
-        require(rel is not None, "matched factors must be related")
         conn = l_connected(f, g)
         require(conn is not None, "matched factors must be connected")
         require(f.frattini == g.frattini and f.supplemented == g.supplemented,
@@ -121,7 +120,7 @@ class _Transfer:
             require(bool(shared_c),
                     "matched complemented factors must share a maximal "
                     "complement")
-        return rel, conn, shared_s, shared_c
+        return self.relation, conn, shared_s, shared_c
 
 
 @dataclass(frozen=True)
@@ -138,8 +137,11 @@ class SupplementedTransfer(_Transfer):
     relation is m_related's case 1 with middle sum_middle, a supplemented
     common ancestor of both, as required on the way.
     case "sum_grows": the next sum section is a Frattini factor and crossing
-    records the crossing onto sum_middle; upper_link is (B+X)/(B+Y), a
-    supplemented factor descending onto the series step.
+    records the crossing [U/V -> W/X] onto sum_middle; upper_link is the
+    chief V/X = (B+X)/(B+Y), a supplemented factor descending onto the
+    series step; and relation is case 1 with middle U/(M n U), for M the
+    first supplement of W/X: a supplemented factor descending onto W/X and
+    V/X, so onto both (factors.RelationTable).
     """
 
     factor: ChiefFactor
@@ -148,10 +150,10 @@ class SupplementedTransfer(_Transfer):
     case: str
     series_factor: ChiefFactor
     sum_middle: ChiefFactor
+    relation: MRelation
     intersection_middle: ChiefFactor | None = None
     crossing: MCrossing | None = None
     upper_link: ChiefFactor | None = None
-    relation: MRelation | None = None
 
 
 @lru_cache(maxsize=None)
@@ -210,9 +212,15 @@ def transfer_supplemented(f: ChiefFactor,
             "denominator sum section must be a supplemented factor")
     require(descends_to(upper_link, series_factor),
             "denominator sum section must descend onto the series step")
+    n = subspace_intersect(sum_middle.supplements[0], top_factor.a)
+    require(is_chief_pair(l, top_factor.a, n), "U/(M n U) must be chief")
+    middle = get_factor(l, top_factor.a, n)
+    require(descends_to(middle, f) and descends_to(middle, series_factor)
+            and middle.supplemented, "U/(M n U) must be a case-1 witness")
     return SupplementedTransfer(f, series, index, "sum_grows", series_factor,
                                 sum_middle, crossing=crossing,
-                                upper_link=upper_link)
+                                upper_link=upper_link,
+                                relation=MRelation(1, middle))
 
 
 # -- transfer of a Frattini factor ------------------------------------------
@@ -229,17 +237,18 @@ class FrattiniTransfer(_Transfer):
     case "intersection_collapses" (A n Y = B n Y): sum_middle is the common
     ancestor (A+X)/(B+Y) descending onto the input factor and series step,
     and relation is case 3 with middle intersection_middle, a Frattini
-    common descendant of both, as required on the way.  Case 3 is
-    m_related's first for a Frattini factor, since cases 1 and 2 would
-    give it a supplemented ancestor and it has none: if A/B -> C/D, a
-    supplement M of A/B has D <= B <= M and C + M = A + M = L; case 2's
-    middle V/X, of a crossing [U/V -> W/X], is supplemented by each
-    supplement M of W/X, for M lacks V (or it supplements the Frattini
-    U/V), so V + M = L.
+    common descendant of both, as required on the way.
     case "intersection_grows": the previous intersection section is a
-    supplemented factor and crossing records the crossing onto it from
-    intersection_middle; lower_link is (A n X)/(A n Y), onto which the
-    series step descends.
+    supplemented factor and crossing records the crossing [U/V -> W/X]
+    onto it from intersection_middle; lower_link is the chief
+    U/W = (A n X)/(A n Y), onto which the series step descends; and
+    relation is case 3 with middle (M n U)/X, for M the first supplement
+    of W/X: a Frattini factor onto which U/V and U/W descend, so both do
+    (factors.RelationTable).
+    In both cases, case 3 is m_related's first for a Frattini factor: it
+    has no supplemented ancestor (if A/B -> C/D, a supplement M of A/B has
+    D <= B <= M and C + M = A + M = L), so case 1 fails, and so does case
+    2, which implies case 1.
     """
 
     factor: ChiefFactor
@@ -248,10 +257,10 @@ class FrattiniTransfer(_Transfer):
     case: str
     series_factor: ChiefFactor
     intersection_middle: ChiefFactor
+    relation: MRelation
     sum_middle: ChiefFactor | None = None
     crossing: MCrossing | None = None
     lower_link: ChiefFactor | None = None
-    relation: MRelation | None = None
 
 
 @lru_cache(maxsize=None)
@@ -314,9 +323,15 @@ def transfer_frattini(f: ChiefFactor, series: ChiefSeries) -> FrattiniTransfer:
     require(descends_to(series_factor, lower_link),
             "series step must descend onto the numerator intersection "
             "section")
+    n = subspace_intersect(bottom_factor.supplements[0], inter_middle.a)
+    require(is_chief_pair(l, n, bottom_factor.b), "(M n U)/X must be chief")
+    middle = get_factor(l, n, bottom_factor.b)
+    require(descends_to(f, middle) and descends_to(series_factor, middle)
+            and middle.frattini, "(M n U)/X must be a case-3 witness")
     return FrattiniTransfer(f, series, index, "intersection_grows",
                             series_factor, inter_middle, crossing=crossing,
-                            lower_link=lower_link)
+                            lower_link=lower_link,
+                            relation=MRelation(3, middle))
 
 
 # -- the permutation between two chief series -------------------------------
@@ -427,9 +442,9 @@ def matching_permutations(first: ChiefSeries,
         raise BudgetExceeded("permutation enumeration too large",
                              math.factorial(n))
     t = relation_table(l)
-    second_rows = t.series_rows(second)[1]
+    second_rows = t.series_rows(second)
     perms = [()]
-    for row in t.series_rows(first)[0]:
+    for row in t.series_rows(first):
         related = [j for j, r in enumerate(second_rows, 1) if row & r]
         perms = [q + (j,) for q in perms for j in related if j not in q]
     return tuple(perms)

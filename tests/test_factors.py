@@ -900,6 +900,37 @@ def test_relation_table_matches_the_catalog_scans():
     assert sum(bool(crossing_catalog(l)) for l in draws) == 5
 
 
+def test_crossings_never_decide_relatedness():
+    """RelationTable's proof, on every crossing [U/V -> W/X] with a chief
+    V/X: N = M n U is the same for every supplement M of W/X, U/N is a
+    supplemented common ancestor of V/X and W/X, and N/X a Frattini common
+    descendant of U/V and U/W.  So cases 1 and 3 alone give m_related's
+    answer."""
+    draws = [l for l in relation_draws() + [random_solvable(6, 2, 3),
+                                            random_solvable(6, 2, 24)]
+             if crossing_catalog(l)]
+    crossings = chief = 0
+    for l in draws:
+        for x in crossing_catalog(l):
+            crossings += 1
+            u, v, w, x_ = x.top.a, x.top.b, x.bottom.a, x.bottom.b
+            if not is_chief_pair(l, v, x_):
+                continue
+            chief += 1
+            vx, uw = get_factor(l, v, x_), get_factor(l, u, w)
+            (n,) = {subspace_intersect(m, u) for m in x.bottom.supplements}
+            un, nx = get_factor(l, u, n), get_factor(l, n, x_)
+            assert un.supplemented and descends_to(un, vx) \
+                and descends_to(un, x.bottom)
+            assert nx.frattini and descends_to(x.top, nx) \
+                and descends_to(uw, nx)
+        cat = chief_factor_catalog(l)
+        for f in cat:
+            for g in cat:
+                assert m_related(f, g, (1, 3)) == m_related(f, g)
+    assert (crossings, chief) == (22, 20)
+
+
 def test_matching_permutations_match_the_permutation_filter():
     for l in relation_draws():
         crossings = scan_crossings(l)

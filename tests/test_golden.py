@@ -17,7 +17,9 @@ from chieflie.cli import main
 # n <= 4 and p <= 3) and on one GF(5) draw past the workloads; `jh
 # --all-pairs`, text and structured, on the same algebras and three draws
 # (seed 14's matches pair one- and two-dimensional factors, so a report
-# reads both routes of l_isomorphic);
+# reads both routes of l_isomorphic), and text only on a fourth whose
+# matches reach both grows cases over GF(2) (its structured report is
+# 41 MB);
 # `analyze`, text and structured, on the 11 registry entries (the
 # cli_analyze commands), sl2(7) and two draws.
 GOLDEN = (
@@ -89,6 +91,8 @@ GOLDEN = (
      "638f37d828f3c168cacc85c3957796e61a3ca8347ec47398373b60ad5d5aa9b4"),
     ("jh corpus:random --field 2 --dim 5 --seed 14 --all-pairs --format structured",
      "75d9e755f503fe03b1a0c2390ceb3161c04c70e84f3944e169115feb12f334b9"),
+    ("jh corpus:random --field 2 --dim 6 --seed 24 --all-pairs --format text",
+     "10b719cf48fc5e56a7bcbcea0ba7e17bbe6de2eb21aa382a4339d756f3479fff"),
     ("analyze corpus:abelian --field 2 --dim 2 --format text",
      "7c0f5a7d63de4e9ced2635240e63e42e74f7ba56918ebbef3acba5dae3d6db36"),
     ("analyze corpus:abelian --field 2 --dim 2 --format structured",

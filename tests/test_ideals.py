@@ -21,7 +21,8 @@ from chieflie.ideals import (ChiefSeries, all_ideals, centralizer,
 from chieflie.linalg import (ENUM_COUNT_CAP, BudgetExceeded, Matrix, Subspace,
                              enumerate_subspaces, quotient_coords,
                              subspace_leq)
-from chieflie.maximal import maximal_subalgebras
+from chieflie.maximal import (is_frattini_factor, maximal_subalgebras,
+                              monolithic_supplements)
 from chieflie.oracle import (oracle_centralizer, oracle_chief_series_count,
                              oracle_core, oracle_ideal_closure, oracle_ideals,
                              oracle_is_chief, oracle_minimal_ideals_over)
@@ -461,6 +462,19 @@ def test_is_chief_pair_known_values():
     assert is_chief_pair(s, s.full, s.zero_space)
     # non-ideals never form chief pairs
     assert not is_chief_pair(h, span(h, (1, 0, 0)), h.zero_space)
+
+
+def test_is_chief_pair_rejects_foreign_subspaces():
+    # as do the factor checks that ask it first, naming the space rather
+    # than a missing chief factor
+    l = heisenberg(3)
+    for a, b in ((Subspace.full(3, 2), l.zero_space),
+                 (l.full, Subspace.zero(3, 2)),
+                 (Subspace.full(2, 3), l.zero_space)):
+        for check in (is_chief_pair, is_frattini_factor,
+                      monolithic_supplements):
+            with pytest.raises(ValueError, match="not of L's"):
+                check(l, a, b)
 
 
 def test_is_chief_pair_matches_oracle():

@@ -2,6 +2,7 @@
 
 import json
 from collections import Counter
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -387,6 +388,17 @@ def test_jh_witnesses_agree_with_m_related_property(data):
         random_solvable(n, p, data.draw(st.integers(0, 10_000))), cap=6)
 
 
+def test_jh_builds_no_relation_table():
+    # every transfer builds its own witness, the grows cases' from their
+    # crossing, so jh_permutation asks m_related nothing
+    for memo in (relation_table, m_related, transfer_supplemented,
+                 transfer_frattini):
+        memo.cache_clear()
+    cases = _transfer_case_counts(random_solvable(5, 3, 43))
+    assert (cases["sum_grows"], cases["intersection_grows"]) == (24, 24)
+    assert relation_table.cache_info().currsize == 0
+
+
 # The jh_corpus algebras (n <= 4, p <= 3), and the random algebra whose
 # series pairs reach all four transfer cases over GF(3).
 WITNESS_CORPUS = {e.name: e.algebra for e in registry()
@@ -436,17 +448,15 @@ def _per_call_evidence(f, second):
 
 
 def _per_factor_matching(first, second):
-    """matching_permutations before the relation table kept each series'
-    rows: every factor's rows read through get_factor, case by case."""
+    """matching_permutations as the four-case relation asked pair by pair:
+    m_related on each factor pair, not the series' packed rows."""
     l = first.algebra
-    t = relation_table(l)
-    second_rows = [t.rows(get_factor(l, a, b))[1]
-                   for a, b in second.factor_pairs()]
+    partners = [get_factor(l, a, b) for a, b in second.factor_pairs()]
     perms = [()]
     for a, b in first.factor_pairs():
-        row = t.rows(get_factor(l, a, b))[0]
-        related = [j + 1 for j, r in enumerate(second_rows)
-                   if any(x & y for x, y in zip(row, r))]
+        f = get_factor(l, a, b)
+        related = [j for j, g in enumerate(partners, 1)
+                   if m_related(f, g, (1, 2, 3, 4)) is not None]
         perms = [q + (j,) for q in perms for j in related if j not in q]
     return tuple(perms)
 
@@ -469,19 +479,25 @@ def test_kept_match_evidence_equals_per_call_code(name):
 
 @pytest.mark.parametrize("name", sorted(KEPT_ANSWER_CORPUS))
 def test_series_rows_are_each_factors_rows_packed(name):
-    # case c of a packed row starts at bit c * w, w the larger of the
-    # catalog's and the crossings' counts
+    # a factor's supplemented ancestors in bits [0, n) and its Frattini
+    # descendants from bit n, as descends_to scans of the catalog find them
     l, cap = KEPT_ANSWER_CORPUS[name]
     t = relation_table(l)
-    w = max(len(t.catalog), len(t.crossings))
+    cat = chief_factor_catalog(l)
+    n = len(cat)
+
+    @lru_cache(maxsize=None)
+    def scanned_row(f):
+        return sum(1 << i for i, r in enumerate(cat)
+                   if r.supplemented and descends_to(r, f)) | \
+            sum(1 << n + i for i, r in enumerate(cat)
+                if r.frattini and descends_to(f, r))
+
     for s in all_series(l, cap=cap):
-        factors = [get_factor(l, a, b) for a, b in s.factor_pairs()]
+        want = tuple(scanned_row(get_factor(l, a, b))
+                     for a, b in s.factor_pairs())
         for _ in range(2):    # built, then kept
-            packed = t.series_rows(s)
-            for role in (0, 1):
-                assert [tuple(r >> c * w & (1 << w) - 1 for c in range(4))
-                        for r in packed[role]] == \
-                    [t.rows(f)[role] for f in factors]
+            assert t.series_rows(s) == want
 
 
 @pytest.mark.parametrize("l", [heisenberg(3), h3_plus_line(2), r4(2),

@@ -26,12 +26,12 @@ MEMOISED = {
     "maximal.frattini": "one Frattini preimage per denominator; 518 on rs",
     "maximal.maximal_records": "record_for, criterion 5, 266 hits; 11 on cli",
     "maximal.record_for": "criterion 5's supplement joins, 8,446 hits",
-    "factors.get_factor": "transfers and relatedness; 11,159 hits on jh",
-    "factors.relation_table": "matching, m_related; 1,658 hits on jh",
-    "factors.descends_to": "transfers, crossings; 10,187 hits on jh",
+    "factors.get_factor": "transfers and relatedness; 11,171 hits on jh",
+    "factors.relation_table": "matching_permutations; 1,654 hits on jh",
+    "factors.descends_to": "transfers, crossings; 10,211 hits on jh",
     "factors._action_matrices": "both sides of l_isomorphic; 2,462 on jh",
     "factors.l_isomorphic": "l_connected per (factor, series); 1,237 on jh",
-    "factors.m_related": "transfers that grow; 8 hits on jh, 0 calls on rs",
+    "factors.m_related": "the benchmark reads its hit ratio; no library caller",
     "jordanholder.transfer_supplemented": "series pairs; 2,784 hits on jh",
     "jordanholder.transfer_frattini": "series pairs; 666 hits on jh",
 }
