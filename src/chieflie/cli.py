@@ -111,9 +111,10 @@ def _parse_series_arg(l: LieAlgebra, text: str, which: str):
         terms = json.loads(text)
     except json.JSONDecodeError as e:
         raise CliInputError(f"{which} series is not valid JSON: {e}")
-    if not isinstance(terms, list) or not terms:
+    if not isinstance(terms, list) or not terms or \
+            not all(isinstance(t, list) for t in terms):
         raise CliInputError(f"{which} series must be a nonempty JSON list "
-                            "of terms")
+                            "of terms, each a list of vectors")
     try:
         return make_chief_series(l, [_span_list(l, t) for t in terms])
     except ValueError as e:

@@ -161,9 +161,9 @@ def _same_algebra(f: ChiefFactor, g: ChiefFactor) -> None:
 
 # descends_to and the two series transfers (jordanholder) are memoised
 # because matching revisits the same arguments: on a seed-0 jh_corpus pass
-# (the 1663 ordered pairs of criterion 3), descends_to runs 10,754 times on
+# (the 1663 ordered pairs of criterion 3), descends_to runs 5,790 times on
 # 543 distinct factor pairs and the transfers 6,132 times on 2,682 distinct
-# (factor, series) pairs.
+# (factor, series) pairs, which land at 1,445 (factor, step) pairs.
 @lru_cache(maxsize=None)
 def descends_to(f: ChiefFactor, g: ChiefFactor) -> bool:
     """Whether A/B descends onto C/D: A = B + C and B n C = D."""

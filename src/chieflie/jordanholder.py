@@ -13,19 +13,24 @@ locate the distinguished series index for A/B:
 
 Each transfer re-verifies the structural claims along the way (descents,
 crossings, section classifications) and raises VerificationError when a
-claim that is forced by the inputs fails.
+claim that is forced by the inputs fails.  Everything past the index
+depends only on the factor and the step Y = terms[index-1] < X =
+terms[index] where it lands, so that landing is built and checked once per
+(factor, step) and kept in the factor's _Landings, keyed by the ideal
+numbers of the algebra's IdealLattice; only the index is found per
+(factor, series).
 
 jh_permutation runs the appropriate transfer for every factor of the first
-series against the second, producing a permutation that pairs the factors
-index by index.  Every pair is verified to be related (by the witness its
-transfer built: a section when the transfer collapses, else one from the
-transfer's own crossing), connected (l_connected), identically
-classified, and to share a common maximal supplement (and, for abelian
-factors, complement) when both sides admit them, once per (factor,
-series), on the memoised transfer.  The permutation produced this
-way is the unique one pairing every index relatedly; matching_permutations
-enumerates all such pairings for small lengths so the uniqueness can be
-checked exhaustively.
+series (read once per series) against the second, producing a permutation
+that pairs the factors index by index.  Every pair is verified to be
+related (by the witness its transfer built: a section when the transfer
+collapses, else one from the transfer's own crossing), connected
+(l_connected), identically classified, and to share a common maximal
+supplement (and, for abelian factors, complement) when both sides admit
+them: the landing's evidence, once per (factor, partner).  The permutation
+produced this way is the unique one pairing every index relatedly;
+matching_permutations enumerates all such pairings for small lengths so the
+uniqueness can be checked exhaustively.
 
 cut_and_paste handles L = B + U for an ideal B and subalgebra U: the natural
 map U/(B n U) -> L/B is verified to be an isomorphism, and chief series and
@@ -36,8 +41,8 @@ tracked.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from dataclasses import dataclass, field as dc_field
+from functools import lru_cache, partial
 
 from .algebra import (LieAlgebra, QuotientPresentation, SubalgebraPresentation,
                       bracket, is_ideal, is_subalgebra, preserves_brackets,
@@ -47,8 +52,8 @@ from .factors import (ChiefFactor, LConnection, MCrossing, MRelation,
                       common_complements, common_supplements, descends_to,
                       get_factor, is_m_crossing, l_connected, make_crossing,
                       relation_table)
-from .ideals import (ChiefSeries, core, ideal_lattice, is_chief_pair,
-                     make_chief_series)
+from .ideals import (ChiefSeries, _term_numbers, core, ideal_lattice,
+                     is_chief_pair, make_chief_series)
 from .linalg import (BudgetExceeded, Matrix, Subspace, rref_rows,
                      subspace_intersect, subspace_leq, subspace_sum)
 from .maximal import is_maximal
@@ -71,8 +76,9 @@ def _section_factor(l: LieAlgebra, top: Subspace,
     return get_factor(l, top, bot)
 
 
-# Kept on the lattice once per (factor, ideal): a seed-0 jh_corpus pass
-# reads 12,159 sum sections of 2,066 and 2,782 intersections of 976.
+# A seed-0 jh_corpus pass reads 8,710 sections of the 1,973 its factors'
+# _Landings keep, and its collapsed landings 966 of the other kind, kept by
+# per_ideal; each is built once per (factor, ideal).
 def _sum_section(l: LieAlgebra, y: Subspace, f: ChiefFactor):
     """f's sum section (A+Y)/(B+Y) along the ideal Y, None when
     degenerate (_section_factor)."""
@@ -86,45 +92,86 @@ def _meet_section(l: LieAlgebra, y: Subspace, f: ChiefFactor):
     return _section_factor(l, lat.meet(f.a, y), lat.meet(f.b, y))
 
 
-def _check_series_envelope(f: ChiefFactor, series: ChiefSeries):
+class _Landings:
+    """A chief factor f's answers along the chief series of its algebra,
+    kept on the algebra's IdealLattice (per_ideal) and keyed by the
+    lattice's ideal numbers, so a read hashes ints, not subspaces:
+
+    * sections: f's sum sections (f supplemented) or intersection sections
+      (f Frattini) along each ideal, by the ideal's number;
+    * steps: where f lands at a series step Y < X, by the pair of numbers:
+      the fields of its transfer record past the index (_landed), the
+      evidence among them, each computed and checked once per (f, step);
+    * ends: the (first, last) term numbers of the series whose envelope f
+      has passed, a tuple: a factor meets few, and a set would cost more.
+    """
+
+    __slots__ = ("f", "build", "sections", "steps", "ends")
+
+    def __init__(self, l: LieAlgebra, f: ChiefFactor):
+        self.f = f
+        self.build = _sum_section if f.supplemented else _meet_section
+        self.sections, self.steps, self.ends = {}, {}, ()
+
+    def section(self, k: int, y: Subspace):
+        try:
+            return self.sections[k]
+        except KeyError:
+            out = self.sections[k] = self.build(self.f.algebra, y, self.f)
+            return out
+
+
+def _along(f: ChiefFactor, series: ChiefSeries):
+    """(f's _Landings, series' term numbers), refusing a series of another
+    algebra on every call and checking series' envelope once per (f, first
+    term, last term)."""
     if series.algebra != f.algebra:
         raise ValueError("factor and series must belong to the same algebra")
-    if not subspace_leq(series.terms[0], f.b):
-        raise ValueError("series must start inside the factor's denominator")
-    if not subspace_leq(f.a, series.terms[-1]):
-        raise ValueError("series must end above the factor's numerator")
+    lat = ideal_lattice(f.algebra)
+    nums = lat.per_ideal(_term_numbers, series)
+    t = lat.per_ideal(_Landings, f)
+    if (nums[0], nums[-1]) not in t.ends:
+        if not subspace_leq(series.terms[0], f.b):
+            raise ValueError("series must start inside the factor's "
+                             "denominator")
+        if not subspace_leq(f.a, series.terms[-1]):
+            raise ValueError("series must end above the factor's numerator")
+        t.ends += ((nums[0], nums[-1]),)
+    return t, nums
+
+
+def _evidence(f: ChiefFactor, g: ChiefFactor, relation: MRelation):
+    """jh_permutation's checked (relation, connection, shared supplements,
+    shared complements) of f matched with the series step g."""
+    conn = l_connected(f, g)
+    require(conn is not None, "matched factors must be connected")
+    require(f.frattini == g.frattini and f.supplemented == g.supplemented,
+            "matched factors must be classified identically")
+    shared_s = common_supplements(f, g) if f.supplemented else ()
+    if f.supplemented and g.supplemented:
+        require(bool(shared_s),
+                "matched supplemented factors must share a maximal "
+                "supplement")
+    shared_c = common_complements(f, g) if f.complemented else ()
+    if f.complemented and g.complemented and f.abelian and g.abelian:
+        require(bool(shared_c),
+                "matched complemented factors must share a maximal "
+                "complement")
+    return relation, conn, shared_s, shared_c
+
+
+def _landed(f, case, g, middle, relation, other=None, cross=None, link=None):
+    """A landing of f at the series step g: its transfer record's fields
+    after the index, in order, ending with the evidence."""
+    return (case, g, middle, relation, other, cross, link,
+            _evidence(f, g, relation))
 
 
 # -- transfer of a supplemented factor --------------------------------------
 
 
-class _Transfer:
-    """evidence: jh_permutation's checked (relation, connection, shared
-    supplements, shared complements) of factor and series_factor, kept on
-    the memoised record, so computed once per (factor, series)."""
-
-    @cached_property
-    def evidence(self):
-        f, g = self.factor, self.series_factor
-        conn = l_connected(f, g)
-        require(conn is not None, "matched factors must be connected")
-        require(f.frattini == g.frattini and f.supplemented == g.supplemented,
-                "matched factors must be classified identically")
-        shared_s = common_supplements(f, g) if f.supplemented else ()
-        if f.supplemented and g.supplemented:
-            require(bool(shared_s),
-                    "matched supplemented factors must share a maximal "
-                    "supplement")
-        shared_c = common_complements(f, g) if f.complemented else ()
-        if f.complemented and g.complemented and f.abelian and g.abelian:
-            require(bool(shared_c),
-                    "matched complemented factors must share a maximal "
-                    "complement")
-        return self.relation, conn, shared_s, shared_c
-
-
 @dataclass(frozen=True)
-class SupplementedTransfer(_Transfer):
+class SupplementedTransfer:
     """Where a supplemented chief factor lands along a chief series.
 
     index is the largest j whose sum section over terms[j-1] is a
@@ -142,6 +189,8 @@ class SupplementedTransfer(_Transfer):
     series step; and relation is case 1 with middle U/(M n U), for M the
     first supplement of W/X: a supplemented factor descending onto W/X and
     V/X, so onto both (factors.RelationTable).
+
+    evidence is jh_permutation's (_evidence), kept with the landing.
     """
 
     factor: ChiefFactor
@@ -154,33 +203,57 @@ class SupplementedTransfer(_Transfer):
     intersection_middle: ChiefFactor | None = None
     crossing: MCrossing | None = None
     upper_link: ChiefFactor | None = None
+    evidence: tuple | None = dc_field(default=None, compare=False, repr=False)
 
 
 @lru_cache(maxsize=None)
 def transfer_supplemented(f: ChiefFactor,
                           series: ChiefSeries) -> SupplementedTransfer:
-    _check_series_envelope(f, series)
+    """f's SupplementedTransfer along series: the index is found per
+    (f, series), from the top down to the first supplemented sum section;
+    the landing at that step is built once per (f, step).
+
+    The sections below the index are not built, and need no check: if a
+    maximal M supplements (A+Y_j)/(B+Y_j), then A + M = L, so for i < j
+    A <= B + Y_i <= M is impossible and (A+Y_i)/(B+Y_i) is not degenerate;
+    by the modular law it is then a chief factor isomorphic to A/B, and M
+    supplements it.  The supplemented sections are an initial segment.
+    """
+    t, nums = _along(f, series)
     if not f.supplemented:
         raise ValueError("transfer_supplemented needs a supplemented factor")
-    l = f.algebra
-    lat = ideal_lattice(l)
-    a, b = f.a, f.b
-    sections = [lat.per_ideal(_sum_section, y, f) for y in series.terms]
-    qualifying = [j for j, s in enumerate(sections, 1) if s and s.supplemented]
-    require(bool(qualifying),
+    terms = series.terms
+    # above is the section over terms[index]: over the last term, which
+    # holds A, it is degenerate.
+    above = t.section(nums[-1], terms[-1])
+    for index in range(series.length, 0, -1):
+        below = t.section(nums[index - 1], terms[index - 1])
+        if below and below.supplemented:
+            break
+        above = below
+    require(below is not None and below.supplemented,
             "a supplemented factor must have at least one supplemented sum "
             "section (the series starts inside its denominator)")
-    index = max(qualifying)
-    x = series.terms[index]
-    y = series.terms[index - 1]
+    step = nums[index - 1], nums[index]
+    if step not in t.steps:
+        t.steps[step] = _land_supplemented(f.algebra, terms[index - 1],
+                                           terms[index], f, below, above)
+    return SupplementedTransfer(f, series, index, *t.steps[step])
+
+
+def _land_supplemented(l, y, x, f, sum_middle, top_factor):
+    """The checked landing (_landed) of supplemented f at the step y < x, whose
+    sum sections along y and x are sum_middle (supplemented) and
+    top_factor."""
+    lat = ideal_lattice(l)
+    a, b = f.a, f.b
     series_factor = get_factor(l, x, y)
     require(series_factor.supplemented,
             "series step at the transfer index must be supplemented")
-    sum_middle = sections[index - 1]
     require(descends_to(sum_middle, f),
             "qualifying sum section must descend onto the input factor")
 
-    if sections[index] is None:
+    if top_factor is None:
         require(lat.join(a, x) == sum_middle.a,
                 "collapsed sum over the step top must match the sum over "
                 "its bottom")
@@ -196,12 +269,9 @@ def transfer_supplemented(f: ChiefFactor,
                 "input factor must descend onto the intersection section")
         require(descends_to(series_factor, inter_middle),
                 "series step must descend onto the intersection section")
-        return SupplementedTransfer(f, series, index, "sum_collapses",
-                                    series_factor, sum_middle,
-                                    intersection_middle=inter_middle,
-                                    relation=MRelation(1, sum_middle))
+        return _landed(f, "sum_collapses", series_factor, sum_middle,
+                       MRelation(1, sum_middle), inter_middle)
 
-    top_factor = sections[index]
     require(top_factor is not None and top_factor.frattini,
             "first non-qualifying sum section must be a Frattini factor")
     require(is_m_crossing(top_factor, sum_middle),
@@ -217,17 +287,15 @@ def transfer_supplemented(f: ChiefFactor,
     middle = get_factor(l, top_factor.a, n)
     require(descends_to(middle, f) and descends_to(middle, series_factor)
             and middle.supplemented, "U/(M n U) must be a case-1 witness")
-    return SupplementedTransfer(f, series, index, "sum_grows", series_factor,
-                                sum_middle, crossing=crossing,
-                                upper_link=upper_link,
-                                relation=MRelation(1, middle))
+    return _landed(f, "sum_grows", series_factor, sum_middle,
+                   MRelation(1, middle), None, crossing, upper_link)
 
 
 # -- transfer of a Frattini factor ------------------------------------------
 
 
 @dataclass(frozen=True)
-class FrattiniTransfer(_Transfer):
+class FrattiniTransfer:
     """Where a Frattini chief factor lands along a chief series.
 
     index is the smallest j whose intersection section with terms[j] is a
@@ -249,6 +317,8 @@ class FrattiniTransfer(_Transfer):
     has no supplemented ancestor (if A/B -> C/D, a supplement M of A/B has
     D <= B <= M and C + M = A + M = L), so case 1 fails, and so does case
     2, which implies case 1.
+
+    evidence is jh_permutation's (_evidence), kept with the landing.
     """
 
     factor: ChiefFactor
@@ -261,27 +331,40 @@ class FrattiniTransfer(_Transfer):
     sum_middle: ChiefFactor | None = None
     crossing: MCrossing | None = None
     lower_link: ChiefFactor | None = None
+    evidence: tuple | None = dc_field(default=None, compare=False, repr=False)
 
 
 @lru_cache(maxsize=None)
 def transfer_frattini(f: ChiefFactor, series: ChiefSeries) -> FrattiniTransfer:
-    _check_series_envelope(f, series)
+    """f's FrattiniTransfer along series: the index is found per (f,
+    series), from the bottom up to the first Frattini intersection section;
+    the landing at that step is built once per (f, step)."""
+    t, nums = _along(f, series)
     if not f.frattini:
         raise ValueError("transfer_frattini needs a Frattini factor")
-    l = f.algebra
-    lat = ideal_lattice(l)
-    a, b = f.a, f.b
-    # Scan up to the first Frattini section, keeping the one below it; the
-    # first term lies inside B, so its section is degenerate and passed.
-    for index, x in enumerate(series.terms):
-        inter_middle = lat.per_ideal(_meet_section, x, f)
+    terms = series.terms
+    # The first term lies inside B, so its section is degenerate and passed.
+    for index, x in enumerate(terms):
+        inter_middle = t.section(nums[index], x)
         if inter_middle and inter_middle.frattini:
             break
         bottom_factor = inter_middle
     require(inter_middle is not None and inter_middle.frattini,
             "a Frattini factor must have at least one Frattini intersection "
             "section (the series ends above its numerator)")
-    y = series.terms[index - 1]
+    step = nums[index - 1], nums[index]
+    if step not in t.steps:
+        t.steps[step] = _land_frattini(f.algebra, terms[index - 1], x, f,
+                                       bottom_factor, inter_middle)
+    return FrattiniTransfer(f, series, index, *t.steps[step])
+
+
+def _land_frattini(l, y, x, f, bottom_factor, inter_middle):
+    """The checked landing (_landed) of Frattini f at the step y < x, whose
+    intersection sections along y and x are bottom_factor and inter_middle
+    (Frattini)."""
+    lat = ideal_lattice(l)
+    a, b = f.a, f.b
     series_factor = get_factor(l, x, y)
     require(series_factor.frattini,
             "series step at the transfer index must be Frattini")
@@ -305,10 +388,8 @@ def transfer_frattini(f: ChiefFactor, series: ChiefSeries) -> FrattiniTransfer:
                 "sum section must descend onto the input factor")
         require(descends_to(sum_middle, series_factor),
                 "sum section must descend onto the series step")
-        return FrattiniTransfer(f, series, index, "intersection_collapses",
-                                series_factor, inter_middle,
-                                sum_middle=sum_middle,
-                                relation=MRelation(3, inter_middle))
+        return _landed(f, "intersection_collapses", series_factor,
+                       inter_middle, MRelation(3, inter_middle), sum_middle)
 
     require(bottom_factor is not None and bottom_factor.supplemented,
             "last non-qualifying intersection section must be a "
@@ -328,10 +409,8 @@ def transfer_frattini(f: ChiefFactor, series: ChiefSeries) -> FrattiniTransfer:
     middle = get_factor(l, n, bottom_factor.b)
     require(descends_to(f, middle) and descends_to(series_factor, middle)
             and middle.frattini, "(M n U)/X must be a case-3 witness")
-    return FrattiniTransfer(f, series, index, "intersection_grows",
-                            series_factor, inter_middle, crossing=crossing,
-                            lower_link=lower_link,
-                            relation=MRelation(3, middle))
+    return _landed(f, "intersection_grows", series_factor, inter_middle,
+                   MRelation(3, middle), None, crossing, lower_link)
 
 
 # -- the permutation between two chief series -------------------------------
@@ -399,6 +478,12 @@ def _check_series_pair(first: ChiefSeries, second: ChiefSeries):
             "chief series between the same endpoints must have equal length")
 
 
+def _factors(l: LieAlgebra, series: ChiefSeries) -> tuple[ChiefFactor, ...]:
+    """series' chief factors, bottom up, kept once per series by
+    jh_permutation on the lattice."""
+    return tuple(get_factor(l, a, b) for a, b in series.factor_pairs())
+
+
 def jh_permutation(first: ChiefSeries, second: ChiefSeries) -> JHReport:
     """Match the factors of two chief series with the same endpoints.
 
@@ -413,8 +498,7 @@ def jh_permutation(first: ChiefSeries, second: ChiefSeries) -> JHReport:
     _check_series_pair(first, second)
     l = first.algebra
     matches = []
-    for i, (a, b) in enumerate(first.factor_pairs(), 1):
-        f = get_factor(l, a, b)
+    for i, f in enumerate(ideal_lattice(l).per_ideal(_factors, first), 1):
         tr = (transfer_supplemented if f.supplemented
               else transfer_frattini)(f, second)
         rel, conn, shared_s, shared_c = tr.evidence

@@ -303,6 +303,15 @@ def test_cli_jh_bad_series(capsys, heis_file):
     assert "all-pairs" in err
 
 
+@pytest.mark.parametrize("first", ["[1]", "[[],5]", "[null]"])
+def test_cli_jh_rejects_series_terms_that_are_not_lists(capsys, first):
+    # each term is a list of vectors; another JSON value is an input error
+    code, out, err = run(capsys, "jh", "corpus:r4", "--field", "2", first,
+                         "[[]]")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: first series ")
+
+
 def test_cli_jh_readme_example_with_flags_before_series(capsys):
     """The README's jh example, run verbatim, gives its series after the
     flags; it prints what the series-first order prints.  argparse binds

@@ -17,9 +17,10 @@ from chieflie.cli import main
 # n <= 4 and p <= 3) and on one GF(5) draw past the workloads; `jh
 # --all-pairs`, text and structured, on the same algebras and three draws
 # (seed 14's matches pair one- and two-dimensional factors, so a report
-# reads both routes of l_isomorphic), and text only on a fourth whose
-# matches reach both grows cases over GF(2) (its structured report is
-# 41 MB);
+# reads both routes of l_isomorphic), and text only on a fourth draw
+# whose matches reach both grows cases over GF(2) and on abelian(3) over
+# GF(3), whose 52 series share their steps (their structured reports are
+# 41 MB and 11.5 MB);
 # `analyze`, text and structured, on the 11 registry entries (the
 # cli_analyze commands), sl2(7) and two draws.
 GOLDEN = (
@@ -55,6 +56,8 @@ GOLDEN = (
      "82e787638362a51fc2a33593206d09ea77d32a888ae5df38721c7765a262d880"),
     ("jh corpus:abelian --field 3 --dim 2 --all-pairs --format structured",
      "e8921f3e800e8193ceb7fcf5c906009efe477521fe4c10988e20f640685d36ae"),
+    ("jh corpus:abelian --field 3 --dim 3 --all-pairs --format text",
+     "253441edf819aa9e538fc1d64577c4f3068d8edbec7617c3a61e481150178bb0"),
     ("jh corpus:nonabelian2 --field 2 --all-pairs --format text",
      "64d053777f6a102349140d2be33dd3b46d991a7f59ac09b87ac9ee56ff4dd488"),
     ("jh corpus:nonabelian2 --field 2 --all-pairs --format structured",

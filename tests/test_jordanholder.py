@@ -7,18 +7,22 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from chieflie import jordanholder
 from chieflie.algebra import direct_sum
 from chieflie.corpus import (abelian, h3_plus_line, heisenberg, nonabelian2,
                              r4, random_solvable, registry, sl2, sl2sum)
-from chieflie.errors import VerificationError
-from chieflie.factors import (chief_factor_catalog, common_complements,
-                              common_supplements, crossing_catalog,
-                              descends_to, get_factor, l_connected, m_related,
-                              relation_table)
+from chieflie.errors import VerificationError, require
+from chieflie.factors import (MRelation, chief_factor_catalog,
+                              common_complements, common_supplements,
+                              crossing_catalog, descends_to, get_factor,
+                              is_m_crossing, l_connected, m_related,
+                              make_crossing, relation_table)
 from chieflie.ideals import (IdealLattice, all_ideals, chief_series, core,
-                             enumerate_chief_series, is_chief_pair,
-                             make_chief_series)
-from chieflie.jordanholder import (CutPaste, _meet_section, _sum_section,
+                             enumerate_chief_series, ideal_lattice,
+                             is_chief_pair, make_chief_series)
+from chieflie.jordanholder import (CutPaste, FrattiniTransfer,
+                                   SupplementedTransfer, _meet_section,
+                                   _section_factor, _sum_section,
                                    cut_and_paste, cut_maximal_down,
                                    cut_series_down, jh_permutation,
                                    matching_permutations, paste_maximal_up,
@@ -523,6 +527,256 @@ def test_lattice_sections_equal_fresh_sums_and_meets(l):
                         assert is_chief_pair(l, top, bot)
                         want = get_factor(l, top, bot)
                     assert lat.per_ideal(section, y, f) == want
+
+
+# -- landing once per (factor, step) -----------------------------------------
+
+
+def _reference_envelope(f, series):
+    if series.algebra != f.algebra:
+        raise ValueError("factor and series must belong to the same algebra")
+    if not subspace_leq(series.terms[0], f.b):
+        raise ValueError("series must start inside the factor's denominator")
+    if not subspace_leq(f.a, series.terms[-1]):
+        raise ValueError("series must end above the factor's numerator")
+
+
+def _reference_supplemented(f, series):
+    """transfer_supplemented as it was before landings were kept per
+    (factor, step): every sum section built and checked, the largest
+    qualifying index taken."""
+    _reference_envelope(f, series)
+    if not f.supplemented:
+        raise ValueError("transfer_supplemented needs a supplemented factor")
+    l = f.algebra
+    lat = ideal_lattice(l)
+    a, b = f.a, f.b
+    sections = [lat.per_ideal(_sum_section, y, f) for y in series.terms]
+    qualifying = [j for j, s in enumerate(sections, 1) if s and s.supplemented]
+    require(bool(qualifying),
+            "a supplemented factor must have at least one supplemented sum "
+            "section (the series starts inside its denominator)")
+    index = max(qualifying)
+    x = series.terms[index]
+    y = series.terms[index - 1]
+    series_factor = get_factor(l, x, y)
+    require(series_factor.supplemented,
+            "series step at the transfer index must be supplemented")
+    sum_middle = sections[index - 1]
+    require(descends_to(sum_middle, f),
+            "qualifying sum section must descend onto the input factor")
+
+    if sections[index] is None:
+        require(lat.join(a, x) == sum_middle.a,
+                "collapsed sum over the step top must match the sum over "
+                "its bottom")
+        require(descends_to(sum_middle, series_factor),
+                "sum section must descend onto the series step")
+        ay = lat.meet(a, y)
+        require(ay == lat.meet(b, y) == lat.meet(b, x),
+                "denominator intersections must agree in the collapsed case")
+        inter_middle = lat.per_ideal(_meet_section, x, f)
+        require(inter_middle is not None,
+                "collapsed case must produce an intersection factor")
+        require(descends_to(f, inter_middle),
+                "input factor must descend onto the intersection section")
+        require(descends_to(series_factor, inter_middle),
+                "series step must descend onto the intersection section")
+        return SupplementedTransfer(f, series, index, "sum_collapses",
+                                    series_factor, sum_middle,
+                                    intersection_middle=inter_middle,
+                                    relation=MRelation(1, sum_middle))
+
+    top_factor = sections[index]
+    require(top_factor is not None and top_factor.frattini,
+            "first non-qualifying sum section must be a Frattini factor")
+    require(is_m_crossing(top_factor, sum_middle),
+            "non-qualifying sum section must cross onto the qualifying one")
+    crossing = make_crossing(top_factor, sum_middle)
+    upper_link = _section_factor(l, top_factor.b, sum_middle.b)
+    require(upper_link is not None and upper_link.supplemented,
+            "denominator sum section must be a supplemented factor")
+    require(descends_to(upper_link, series_factor),
+            "denominator sum section must descend onto the series step")
+    n = subspace_intersect(sum_middle.supplements[0], top_factor.a)
+    require(is_chief_pair(l, top_factor.a, n), "U/(M n U) must be chief")
+    middle = get_factor(l, top_factor.a, n)
+    require(descends_to(middle, f) and descends_to(middle, series_factor)
+            and middle.supplemented, "U/(M n U) must be a case-1 witness")
+    return SupplementedTransfer(f, series, index, "sum_grows", series_factor,
+                                sum_middle, crossing=crossing,
+                                upper_link=upper_link,
+                                relation=MRelation(1, middle))
+
+
+def _reference_frattini(f, series):
+    """transfer_frattini as it was before landings were kept per (factor,
+    step)."""
+    _reference_envelope(f, series)
+    if not f.frattini:
+        raise ValueError("transfer_frattini needs a Frattini factor")
+    l = f.algebra
+    lat = ideal_lattice(l)
+    a, b = f.a, f.b
+    for index, x in enumerate(series.terms):
+        inter_middle = lat.per_ideal(_meet_section, x, f)
+        if inter_middle and inter_middle.frattini:
+            break
+        bottom_factor = inter_middle
+    require(inter_middle is not None and inter_middle.frattini,
+            "a Frattini factor must have at least one Frattini intersection "
+            "section (the series ends above its numerator)")
+    y = series.terms[index - 1]
+    series_factor = get_factor(l, x, y)
+    require(series_factor.frattini,
+            "series step at the transfer index must be Frattini")
+    require(descends_to(f, inter_middle),
+            "input factor must descend onto the qualifying intersection "
+            "section")
+
+    if bottom_factor is None:
+        require(lat.meet(a, y) == inter_middle.b,
+                "collapsed intersection over the step bottom must match the "
+                "intersection over its top")
+        require(descends_to(series_factor, inter_middle),
+                "series step must descend onto the intersection section")
+        ax = lat.join(a, x)
+        require(lat.join(a, y) == ax == lat.join(b, x),
+                "numerator sums must agree in the collapsed case")
+        sum_middle = lat.per_ideal(_sum_section, y, f)
+        require(sum_middle is not None,
+                "collapsed case must produce a sum factor")
+        require(descends_to(sum_middle, f),
+                "sum section must descend onto the input factor")
+        require(descends_to(sum_middle, series_factor),
+                "sum section must descend onto the series step")
+        return FrattiniTransfer(f, series, index, "intersection_collapses",
+                                series_factor, inter_middle,
+                                sum_middle=sum_middle,
+                                relation=MRelation(3, inter_middle))
+
+    require(bottom_factor is not None and bottom_factor.supplemented,
+            "last non-qualifying intersection section must be a "
+            "supplemented factor")
+    require(is_m_crossing(inter_middle, bottom_factor),
+            "qualifying intersection section must cross onto the "
+            "non-qualifying one")
+    crossing = make_crossing(inter_middle, bottom_factor)
+    lower_link = _section_factor(l, inter_middle.a, bottom_factor.a)
+    require(lower_link is not None,
+            "numerator intersection section must be a chief factor")
+    require(descends_to(series_factor, lower_link),
+            "series step must descend onto the numerator intersection "
+            "section")
+    n = subspace_intersect(bottom_factor.supplements[0], inter_middle.a)
+    require(is_chief_pair(l, n, bottom_factor.b), "(M n U)/X must be chief")
+    middle = get_factor(l, n, bottom_factor.b)
+    require(descends_to(f, middle) and descends_to(series_factor, middle)
+            and middle.frattini, "(M n U)/X must be a case-3 witness")
+    return FrattiniTransfer(f, series, index, "intersection_grows",
+                            series_factor, inter_middle, crossing=crossing,
+                            lower_link=lower_link,
+                            relation=MRelation(3, middle))
+
+
+def _reference_evidence(tr):
+    """The checked evidence of a transfer record, as jh_permutation
+    computed it per (factor, series)."""
+    f, g = tr.factor, tr.series_factor
+    conn = l_connected(f, g)
+    require(conn is not None, "matched factors must be connected")
+    require(f.frattini == g.frattini and f.supplemented == g.supplemented,
+            "matched factors must be classified identically")
+    shared_s = common_supplements(f, g) if f.supplemented else ()
+    if f.supplemented and g.supplemented:
+        require(bool(shared_s),
+                "matched supplemented factors must share a maximal "
+                "supplement")
+    shared_c = common_complements(f, g) if f.complemented else ()
+    if f.complemented and g.complemented and f.abelian and g.abelian:
+        require(bool(shared_c),
+                "matched complemented factors must share a maximal "
+                "complement")
+    return tr.relation, conn, shared_s, shared_c
+
+
+@pytest.mark.parametrize("name", sorted(WITNESS_CORPUS))
+def test_landed_transfers_equal_the_full_scans(name):
+    # every factor against every series, both transfers: the same record,
+    # field by field, the same evidence, or the same ValueError
+    l = WITNESS_CORPUS[name]
+    cases = Counter()
+    for series in all_series(l):
+        for f in chief_factor_catalog(l):
+            for fn, ref in ((transfer_supplemented, _reference_supplemented),
+                            (transfer_frattini, _reference_frattini)):
+                got, want = _outcome(fn, f, series), _outcome(ref, f, series)
+                assert got == want
+                if not isinstance(want, tuple):
+                    assert got.evidence == _reference_evidence(want)
+                    cases[got.case] += 1
+    if name == "random_solvable(5,3,43)":
+        assert len(cases) == 4
+
+
+def test_evidence_is_checked_once_per_factor_and_partner(monkeypatch):
+    for memo in (transfer_supplemented, transfer_frattini, ideal_lattice):
+        memo.cache_clear()
+    calls = Counter()
+
+    def counted(f, g):
+        calls[f, g] += 1
+        return l_connected(f, g)
+
+    monkeypatch.setattr(jordanholder, "l_connected", counted)
+    pairs, matches = set(), 0
+    for l in (r4(2), h3_plus_line(2)):
+        series = all_series(l)
+        for xs in series:
+            for ys in series:
+                rep = jh_permutation(xs, ys)
+                pairs.update((m.factor, m.partner) for m in rep.matches)
+                matches += len(rep.matches)
+    assert set(calls) == pairs and set(calls.values()) == {1}
+    assert matches > len(pairs)
+
+
+def test_envelope_is_checked_on_every_call():
+    l = h3_plus_line(2)
+    z, w = (0, 0, 1, 0), (0, 0, 0, 1)
+    f = get_factor(l, span(l, w), span(l))
+    assert transfer_supplemented(f, chief_series(l)).index >= 1
+    # the same factor, then series of other ends: each call is refused
+    above = chief_series(l, frm=span(l, z))
+    below = chief_series(l, to=span(l, z))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="denominator"):
+            transfer_supplemented(f, above)
+        with pytest.raises(ValueError, match="numerator"):
+            transfer_supplemented(f, below)
+        with pytest.raises(ValueError, match="same algebra"):
+            transfer_supplemented(f, chief_series(heisenberg(2)))
+
+
+@pytest.mark.parametrize("name", sorted(WITNESS_CORPUS))
+def test_supplemented_sum_sections_below_the_index_are_supplemented(name):
+    # if M supplements (A+Y_j)/(B+Y_j), every lower sum section is a chief
+    # factor onto which A/B descends, and M supplements it
+    l = WITNESS_CORPUS[name]
+    checked = 0
+    for series in all_series(l):
+        for f in chief_factor_catalog(l):
+            if not f.supplemented:
+                continue
+            tr = transfer_supplemented(f, series)
+            for y in series.terms[:tr.index]:
+                top, bot = subspace_sum(f.a, y), subspace_sum(f.b, y)
+                assert top != bot and is_chief_pair(l, top, bot)
+                s = get_factor(l, top, bot)
+                assert s.supplemented and descends_to(s, f)
+                assert set(tr.sum_middle.supplements) <= set(s.supplements)
+                checked += 1
+    assert checked
 
 
 @pytest.fixture(scope="module")

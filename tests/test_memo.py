@@ -18,19 +18,19 @@ MEMOISED = {
     "algebra.quotient_algebra": "maximal/Frattini recursion; 202 in crit. 5",
     "ideals.core": "the benchmark reads its hit ratio; 63 misses on cli",
     "ideals.minimal_ideals_over": "ideal and series searches; 2,599 on rs",
-    "ideals.is_chief_pair": "factor and series checks; 2,196 hits on jh",
-    "ideals.ideal_lattice": "per-ideal answers, transfers; 10,131 hits on rs",
+    "ideals.is_chief_pair": "factor and series checks; 2,089 hits on jh",
+    "ideals.ideal_lattice": "per-ideal answers, transfers; 10,005 hits on rs",
     "maximal.is_maximal": "criterion 5, 8,446 hits (19-22 s without); 0 on rs",
     "maximal.algebra_isomorphisms": "criterion 5, 240 hits; 2 on cli",
     "maximal.maximal_subalgebras": "containment masks; 2,269 hits on rs",
     "maximal.frattini": "one Frattini preimage per denominator; 518 on rs",
     "maximal.maximal_records": "record_for, criterion 5, 266 hits; 11 on cli",
     "maximal.record_for": "criterion 5's supplement joins, 8,446 hits",
-    "factors.get_factor": "transfers and relatedness; 11,171 hits on jh",
+    "factors.get_factor": "sections, steps, series factors; 3,977 hits on jh",
     "factors.relation_table": "matching_permutations; 1,654 hits on jh",
-    "factors.descends_to": "transfers, crossings; 10,211 hits on jh",
+    "factors.descends_to": "landings, crossings; 5,247 hits on jh",
     "factors._action_matrices": "both sides of l_isomorphic; 2,462 on jh",
-    "factors.l_isomorphic": "l_connected per (factor, series); 1,237 on jh",
+    "factors.l_isomorphic": "reversed pairs of dim >= 2; 6 on rs, 0 on jh",
     "factors.m_related": "the benchmark reads its hit ratio; no library caller",
     "jordanholder.transfer_supplemented": "series pairs; 2,784 hits on jh",
     "jordanholder.transfer_frattini": "series pairs; 666 hits on jh",
