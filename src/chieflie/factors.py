@@ -275,7 +275,6 @@ def _factor_bracket(f: ChiefFactor, qc, u, v):
     return qc.project(bracket(f.algebra, qc.lift(u), qc.lift(v)))
 
 
-@lru_cache(maxsize=None)
 def l_isomorphic(f: ChiefFactor, g: ChiefFactor) -> Matrix | None:
     """A single map that is simultaneously a module isomorphism and an
     isomorphism of the factor algebras, or None.
@@ -424,9 +423,10 @@ class RelationTable:
     U/V and U/W descend onto it, by (a) it is a Frattini common
     descendant of every case-4 pair.
     So in m_related's order 1, 2, 3, 4, cases 2 and 4 never come first, and
-    N does not depend on M.  Relatedness is read from cases 1 and 3 only
-    (series_rows), and the crossing columns are scanned only for a probe
-    that names case 2 or 4 (m_related)."""
+    N does not depend on M.  Relatedness is read from cases 1 and 3 only,
+    from the series rows over bits [0, n) (series_rows), and the crossing
+    columns are scanned only for a probe that names case 2 or 4
+    (m_related)."""
 
     def __init__(self, l: LieAlgebra):
         cat = self.catalog = chief_factor_catalog(l)
@@ -457,17 +457,17 @@ class RelationTable:
                 down[f.a] & down[f.b] >> n & ~down[f.b])
 
     def series_rows(self, series):
-        """A chief series' relation rows, one int per factor: its
-        supplemented ancestors in bits [0, n) and its Frattini descendants
-        from bit n, so two factors are related exactly when their rows
-        share a bit."""
+        """A chief series' relation rows, one n-bit int per factor: its
+        supplemented ancestors and its Frattini descendants.  Every catalog
+        factor is supplemented or Frattini and not both, so two factors are
+        related exactly when their rows share a bit."""
         out = self._series.get(series)
         if out is None:
-            n, l = len(self.catalog), series.algebra
+            l = series.algebra
             families = [self._family(get_factor(l, a, b))
                         for a, b in series.factor_pairs()]
             out = self._series[series] = tuple(
-                anc & self._supp | (desc & self._frat) << n
+                anc & self._supp | desc & self._frat
                 for anc, desc in families)
         return out
 

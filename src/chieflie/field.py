@@ -37,13 +37,13 @@ class PrimeField:
         # inv_table[0] is a dummy; inv(0) raises instead.
         self.inv_table = (0,) + tuple(pow(a, p - 2, p) for a in range(1, p))
         # Packed vectors (linalg) give each coordinate a w-bit lane.  A lane
-        # x + c*y of residues is below p(p-1); subtracting q = p*2^t, ..., 2p,
-        # p where x >= q reduces it, and x + 2^(w-1) - q has its top bit set
-        # exactly then, without a carry.  GF(2) lanes are one bit.
+        # x + c*y of residues is at most p(p-1); subtracting q = p*2^t, ...,
+        # 2p, p where x >= q reduces it, and x + 2^(w-1) - q has its top bit
+        # set exactly then, without a carry.  GF(2) lanes are one bit.
         qs = [p << t for t in range((p - 1).bit_length() - 1, -1, -1)] if p > 2 else []
         self.w = qs[0].bit_length() + 1 if qs else 1
         self.steps = tuple((q, (1 << self.w - 1) - q) for q in qs)
-        # linalg's elimination pair per lane count, built on first use.
+        # linalg's elimination pair and fold per lane count, built on use.
         self.kernels = {}
 
     def lanes(self, count: int) -> tuple:

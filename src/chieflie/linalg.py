@@ -65,9 +65,10 @@ def rref_rows(rows, p: int) -> Rows:
 # hold residues in [0, p), so integer order is lexicographic row order and
 # a vector's pivot is its top nonzero lane.  Every subspace algorithm below
 # runs through one elimination pair, _pair(p, lanes): XOR over GF(2), and
-# over odd p a lane add of a multiple, x + (p - c) * row, then _folder's
-# branch-free reduction x - q*(((x + K) & H) >> (w - 1)).  A basis kept by
-# add is fully reduced, so sorted in descending order it is the RREF.
+# over odd p a lane add of a multiple, x + (p - c) * row, then the pair's
+# fold, _folder's branch-free reduction x - q*(((x + K) & H) >> (w - 1)).
+# A basis kept by add is fully reduced, so sorted in descending order it is
+# the RREF.  _combine sums multiples of packed rows with the same fold.
 
 
 def _pack(v: Vector, p: int) -> int:
@@ -110,7 +111,7 @@ def _gf2_add(basis: list[int], mask: int) -> int:
 
 def _folder(p: int, lanes: int):
     """x -> x mod p in every lane of a packed GF(p)^lanes vector whose lanes
-    are below p(p-1): each step subtracts q where a lane is >= q."""
+    are at most p(p-1): each step subtracts q where a lane is >= q."""
     field = prime_field(p)
     w, (h, steps) = field.w, field.lanes(lanes)
 
@@ -123,13 +124,13 @@ def _folder(p: int, lanes: int):
 
 
 def _pair(p: int, lanes: int):
-    """(residue, add) on packed vectors of GF(p)^lanes, built once per
+    """(residue, add, fold) on packed vectors of GF(p)^lanes, built once per
     (p, lanes) and kept on the field.  residue(basis, v) is v reduced
     modulo a basis kept by add, 0 if v lies in its span; add(basis, v)
     appends that residue, normalised and cleared out of the other rows,
-    and returns it."""
+    and returns it.  fold is _folder(p, lanes), None over GF(2)."""
     if p == 2:
-        return _gf2_residue, _gf2_add
+        return _gf2_residue, _gf2_add, None
     field = prime_field(p)
     if lanes in field.kernels:
         return field.kernels[lanes]
@@ -158,8 +159,22 @@ def _pair(p: int, lanes: int):
             basis.append(v)
         return v
 
-    field.kernels[lanes] = residue, add
-    return residue, add
+    field.kernels[lanes] = residue, add, fold
+    return residue, add, fold
+
+
+def _combine(p: int, lanes: int, rows, coeffs) -> int:
+    """The packed sum of coeffs[i] * rows[i], rows packed vectors of
+    GF(p)^lanes and each coefficient taken mod p: XOR over GF(2), folded
+    lane adds over odd p.  Each add stays within the fold's bound: every
+    lane of acc is below p and of c * row at most (p-1)^2, so their sum is
+    at most p(p-1)."""
+    fold, acc = _pair(p, lanes)[2], 0
+    for c, row in zip(coeffs, rows):
+        c %= p
+        if c:
+            acc = fold(acc + c * row) if fold else acc ^ row
+    return acc
 
 
 def _span(p: int, lanes: int, vectors, basis=()) -> list:
@@ -279,12 +294,8 @@ class Subspace:
 
     def combine(self, coeffs) -> Vector:
         """The member sum of coeffs[i] * rows[i]."""
-        p = self.p
-        acc = [0] * self.n
-        for c, row in zip(coeffs, self.rows):
-            if c % p:
-                acc = [(a + c * b) % p for a, b in zip(acc, row)]
-        return tuple(acc)
+        n, p = self.n, self.p
+        return _unpack(_combine(p, n, self._basis, coeffs), n, p)
 
     def vectors(self):
         """All p^dim member vectors (small dims only)."""
@@ -333,41 +344,22 @@ def subspace_leq(u: Subspace, v: Subspace) -> bool:
 class PackedMaps:
     """Linear maps f_0, ..., f_{n-1} of GF(p)^n on packed vectors, given by
     maps[i][j] = f_i(e_j): the column of e_j packs its n images end to end
-    in n * n lanes, so images(v) costs one XOR (GF(2)) or one scaled lane
-    add (odd p) per nonzero coordinate of v.  columns[b] is the column of
-    the unit vector at lane b, e_{n-1-b}."""
+    in n * n lanes, so images(v) is one _combine of the columns with v's
+    coordinates, one XOR (GF(2)) or one folded lane add (odd p) per nonzero
+    coordinate.  columns[j] is the column of e_j."""
 
     def __init__(self, maps, p: int):
         self.n = n = len(maps)
         self.p = p
         self.columns = tuple([_pack([x for f in maps for x in f[j]], p)
-                              for j in range(n - 1, -1, -1)])
-
-    @cached_property
-    def _fold(self):
-        """images' lane reduction, built once per maps."""
-        return _folder(self.p, self.n * self.n)
-
-    def __getstate__(self):
-        # the fold is a closure, so a copy rebuilds it on first use
-        return {k: v for k, v in self.__dict__.items() if k != "_fold"}
+                              for j in range(n)])
 
     def images(self, v: int) -> list[int]:
         """The packed f_0(v), ..., f_{n-1}(v) of a packed v."""
         n, p = self.n, self.p
-        w = prime_field(p).w
-        acc, low = 0, (1 << w) - 1
-        if p == 2:
-            for b, col in enumerate(self.columns):
-                if v >> b & 1:
-                    acc ^= col
-        else:
-            fold = self._fold
-            for b, col in enumerate(self.columns):
-                c = v >> b * w & low
-                if c:
-                    acc = fold(acc + c * col)
-        s, block = n * w, (1 << n * w) - 1
+        acc = _combine(p, n * n, self.columns, _unpack(v, n, p))
+        s = n * prime_field(p).w
+        block = (1 << s) - 1
         return [acc >> k & block for k in range(s * (n - 1), -1, -s)]
 
     def sending(self, a: Subspace, b: Subspace) -> Subspace:
@@ -394,7 +386,7 @@ def spin(maps: PackedMaps, seed: Subspace, base: Subspace | None = None,
     new to the span are mapped.  None as soon as the span, grown past one
     dimension over base, contains one of the lines stop."""
     n, p = maps.n, maps.p
-    residue, add = _pair(p, n)
+    residue, add, _ = _pair(p, n)
     basis = [] if base is None else list(base._basis)
     floor = len(basis) + 1
     todo, fresh = list(seed._basis), []
@@ -542,29 +534,21 @@ class QuotientCoords:
         """Yield each line of space/sub, or of the union of spaces (subspaces
         of GF(p)^k meeting pairwise in 0), as <v> for a lift v: every X with
         sub < X <= space, and X/sub meeting one of spaces if given, contains
-        sub + <v> for one of them.  v sums rows with distinct pivots, the
-        first with coefficient 1, so it is canonical as packed.  Refuses
-        (BudgetExceeded) above ENUM_COUNT_CAP lines."""
+        sub + <v> for one of them.  v is a _combine of lifts' packed rows,
+        which have distinct pivots, the first with coefficient 1, so it is
+        canonical as packed.  Refuses (BudgetExceeded) above ENUM_COUNT_CAP
+        lines."""
         k, n, p = self.dim, self.sub.n, self.sub.p
         count = self.line_count(spaces)
         if count > ENUM_COUNT_CAP:
             raise BudgetExceeded(
                 f"direction scan of a {k}-dimensional quotient over GF({p}) "
                 f"exceeds cap {ENUM_COUNT_CAP}", count)
-        fold = p != 2 and _folder(p, n)
-
-        def combine(rows, coeffs):
-            acc = 0
-            for c, row in zip(coeffs, rows):
-                if c:
-                    acc = fold(acc + c * row) if fold else acc ^ row
-            return acc
-
         lifts = self.lifts._basis
         for rows in [lifts] if spaces is None else [
-                [combine(lifts, q) for q in s.rows] for s in spaces]:
+                [_combine(p, n, lifts, q) for q in s.rows] for s in spaces]:
             for d in nonzero_directions(len(rows), p):
-                yield Subspace._of(n, p, [combine(rows, d)])
+                yield Subspace._of(n, p, [_combine(p, n, rows, d)])
 
 
 def quotient_coords(space: Subspace, sub: Subspace) -> QuotientCoords:

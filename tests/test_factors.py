@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chieflie import maximal as maximal_module
-from chieflie.algebra import (LieAlgebra, bracket, preserves_brackets,
-                              quotient_algebra, subspace_product)
+from chieflie.algebra import (LieAlgebra, bracket, is_ideal,
+                              preserves_brackets, quotient_algebra,
+                              subspace_product)
 from chieflie.corpus import (abelian, h3_plus_line, heisenberg, nonabelian2,
                              r4, random_solvable, registry, sl2, sl2sum)
 from chieflie.errors import VerificationError
@@ -26,7 +27,8 @@ from chieflie.ideals import (IdealLattice, all_ideals, chief_series, core,
                              enumerate_chief_series, ideal_lattice,
                              is_chief_pair)
 from chieflie.jordanholder import matching_permutations
-from chieflie.linalg import (BudgetExceeded, Matrix, Subspace, rref_rows,
+from chieflie.linalg import (BudgetExceeded, Matrix, Subspace,
+                             enumerate_subspaces, rref_rows,
                              subspace_intersect, subspace_leq, subspace_sum)
 from chieflie.maximal import (PrimitiveKind, complements_of, frattini,
                               maximal_records, maximal_subalgebras,
@@ -135,6 +137,20 @@ def test_memo_key_hashes_are_the_dataclass_hashes():
         assert hash(x) == hash(y)
         copy = pickle.loads(pickle.dumps(x))
         assert copy == x and hash(copy) == hash(x)
+
+
+def test_odd_p_algebra_pickles_with_its_ad_maps():
+    """Over GF(3) is_ideal runs ad_maps.images' folded lane adds; the
+    algebra pickles with its maps, and the copy is equal, hashes equal and
+    tells ideals as the original does."""
+    l = heisenberg(3)
+    spaces = list(enumerate_subspaces(l.n, l.p))
+    want = [is_ideal(l, u) for u in spaces]
+    assert "ad_maps" in vars(l) and any(want) and not all(want)
+    copy = pickle.loads(pickle.dumps(l))
+    assert "ad_maps" in vars(copy)
+    assert copy == l and hash(copy) == hash(l)
+    assert [is_ideal(copy, u) for u in spaces] == want
 
 
 def test_catalog_sizes():

@@ -483,19 +483,17 @@ def test_kept_match_evidence_equals_per_call_code(name):
 
 @pytest.mark.parametrize("name", sorted(KEPT_ANSWER_CORPUS))
 def test_series_rows_are_each_factors_rows_packed(name):
-    # a factor's supplemented ancestors in bits [0, n) and its Frattini
-    # descendants from bit n, as descends_to scans of the catalog find them
+    # a factor's supplemented ancestors and its Frattini descendants, as
+    # descends_to scans of the catalog find them, each at its catalog bit
     l, cap = KEPT_ANSWER_CORPUS[name]
     t = relation_table(l)
     cat = chief_factor_catalog(l)
-    n = len(cat)
 
     @lru_cache(maxsize=None)
     def scanned_row(f):
         return sum(1 << i for i, r in enumerate(cat)
-                   if r.supplemented and descends_to(r, f)) | \
-            sum(1 << n + i for i, r in enumerate(cat)
-                if r.frattini and descends_to(f, r))
+                   if r.supplemented and descends_to(r, f) or
+                   r.frattini and descends_to(f, r))
 
     for s in all_series(l, cap=cap):
         want = tuple(scanned_row(get_factor(l, a, b))

@@ -6,9 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from chieflie.algebra import ad_matrix, subspace_product
 from chieflie.corpus import random_solvable
-from chieflie.linalg import (BudgetExceeded, Matrix, Subspace, count_subspaces,
-                             enumerate_subspaces, gaussian_binomial,
-                             nonzero_directions, quotient_coords, rref_rows,
+from chieflie.field import SUPPORTED_PRIMES, prime_field
+from chieflie.linalg import (BudgetExceeded, Matrix, Subspace, _pair,
+                             count_subspaces, enumerate_subspaces,
+                             gaussian_binomial, nonzero_directions,
+                             quotient_coords, rref_rows,
                              solve_linear, subspace_intersect, subspace_leq,
                              subspace_sum, vec_add, vec_scale)
 from chieflie.oracle import oracle_rref_rows
@@ -79,6 +81,19 @@ def test_rref_kernels_match_generic_oracle(data):
     out = rref_rows(rows, p)
     assert out == oracle_rref_rows(rows, p)
     assert all(type(x) is int and 0 <= x < p for r in out for x in r)
+
+
+@pytest.mark.parametrize("p", SUPPORTED_PRIMES[1:])
+def test_fold_is_exact_through_p_times_p_minus_1(p):
+    # a kernel lane x + c*y of residues x, y and c is at most p(p-1); the
+    # fold reduces every such lane exactly, with no carry into or out of its
+    # neighbours
+    w, top = prime_field(p).w, p * (p - 1)
+    fold = _pair(p, 3)[2]
+    for x in range(top + 1):
+        for nb in {0, x, top}:
+            word = nb << 2 * w | x << w | nb
+            assert fold(word) == nb % p << 2 * w | x % p << w | nb % p
 
 
 def test_subspace_structural_equality_and_hash():

@@ -30,7 +30,6 @@ MEMOISED = {
     "factors.relation_table": "matching_permutations; 1,654 hits on jh",
     "factors.descends_to": "landings, crossings; 5,247 hits on jh",
     "factors._action_matrices": "both sides of l_isomorphic; 2,462 on jh",
-    "factors.l_isomorphic": "reversed pairs of dim >= 2; 6 on rs, 0 on jh",
     "factors.m_related": "the benchmark reads its hit ratio; no library caller",
     "jordanholder.transfer_supplemented": "series pairs; 2,784 hits on jh",
     "jordanholder.transfer_frattini": "series pairs; 666 hits on jh",
