@@ -1,12 +1,12 @@
 """Count the code lines of each chieflie module.
 
-    python3 tools/codelines.py [SRC_DIR]
+    python3 tools/codelines.py
 
 A code line holds at least one code token: blank lines, comments and
 docstrings (the leading string of a module, class or function body) do not
 count, and a statement spread over several lines counts each line that holds
-one of its tokens.  Prints one line per module of SRC_DIR (default
-src/chieflie, next to this script), then the total.
+one of its tokens.  Prints one line per module of src/chieflie, then the
+total.
 """
 
 from __future__ import annotations
@@ -45,9 +45,8 @@ def code_lines(source: str) -> int:
     return len(lines - docs)
 
 
-def main(argv: list[str]) -> int:
-    root = Path(argv[1]) if len(argv) > 1 else \
-        Path(__file__).resolve().parent.parent / "src" / "chieflie"
+def main() -> int:
+    root = Path(__file__).resolve().parent.parent / "src" / "chieflie"
     total = 0
     for path in sorted(root.glob("*.py")):
         count = code_lines(path.read_text())
@@ -58,4 +57,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv))
+    sys.exit(main())
