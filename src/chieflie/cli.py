@@ -11,8 +11,9 @@ Commands::
     chieflie corpus export NAME [--out PATH]    write a built-in as a file
 
 PATH is either an algebra file or ``corpus:NAME`` (with --field, plus --dim
-for abelian and --dim/--seed for random).  Series arguments are JSON lists
-of terms, each term a list of spanning vectors (the zero term is ``[]``).
+for abelian and --dim/--seed for random; ``corpus export NAME`` takes the
+same flags).  Series arguments are JSON lists of terms, each term a list of
+spanning vectors (the zero term is ``[]``).
 
 Exit codes: 0 success, 1 input error, 2 axiom or verification failure,
 3 budget refusal.  All verification jobs run in a fixed deterministic order,
@@ -28,8 +29,9 @@ import sys
 from .algebra import LieAlgebra, ValidationError, validate
 from .corpus import builtin, random_solvable, registry
 from .errors import VerificationError
-from .factors import get_factor
-from .fileio import AlgebraFileError, format_algebra, load_algebra
+from .factors import series_factors
+from .fileio import (AlgebraFileError, format_algebra, load_algebra,
+                     save_algebra)
 from .ideals import (chief_series, derived_series,
                      enumerate_chief_series, is_solvable, make_chief_series,
                      minimal_ideals, socle)
@@ -58,16 +60,20 @@ class _Parser(argparse.ArgumentParser):
 # -- shared helpers ----------------------------------------------------------
 
 
+def _corpus_algebra(name: str, args) -> LieAlgebra:
+    """The corpus algebra NAME over --field, with --dim and --seed."""
+    if name == "random":
+        if args.dim is None:
+            raise CliInputError("corpus:random needs --dim")
+        return random_solvable(args.dim, args.field, args.seed)
+    return builtin(name, args.field, dim=args.dim)
+
+
 def _load_target(args, check: bool = True) -> LieAlgebra:
     """Resolve PATH or corpus:NAME into an algebra; check validates files."""
     target = args.path
     if target.startswith("corpus:"):
-        name = target[len("corpus:"):]
-        if name == "random":
-            if args.dim is None:
-                raise CliInputError("corpus:random needs --dim")
-            return random_solvable(args.dim, args.field, args.seed)
-        return builtin(name, args.field, dim=args.dim)
+        return _corpus_algebra(target[len("corpus:"):], args)
     try:
         return load_algebra(target, check=check)
     except OSError as e:
@@ -95,13 +101,13 @@ def _rows_text(s: Subspace) -> str:
     return "; ".join(" ".join(str(x) for x in r) for r in s.rows)
 
 
-def _span_list(l: LieAlgebra, vectors) -> Subspace:
+def _span_list(l: LieAlgebra, vectors, which: str) -> Subspace:
     vs = []
     for v in vectors:
         if not isinstance(v, (list, tuple)) or len(v) != l.n or \
                 not all(type(x) is int for x in v):
-            raise CliInputError(
-                f"each vector must be a list of {l.n} integers, got {v!r}")
+            raise CliInputError(f"{which} series: each vector must be a "
+                                f"list of {l.n} integers, got {v!r}")
         vs.append(tuple(v))
     return Subspace.span(l.n, l.p, vs)
 
@@ -115,8 +121,9 @@ def _parse_series_arg(l: LieAlgebra, text: str, which: str):
             not all(isinstance(t, list) for t in terms):
         raise CliInputError(f"{which} series must be a nonempty JSON list "
                             "of terms, each a list of vectors")
+    spans = [_span_list(l, t, which) for t in terms]
     try:
-        return make_chief_series(l, [_span_list(l, t) for t in terms])
+        return make_chief_series(l, spans)
     except ValueError as e:
         raise CliInputError(f"{which} series is not a chief series: {e}")
 
@@ -191,7 +198,7 @@ def cmd_analyze(args) -> int:
     phi = frattini(l)
     prim = primitive_type(l)
     series = chief_series(l)
-    factors = [get_factor(l, a, b) for a, b in series.factor_pairs()]
+    factors = series_factors(series)
     if args.format == "structured":
         doc = {
             "dim": l.n, "field": l.p,
@@ -334,19 +341,12 @@ def cmd_corpus(args) -> int:
                       f"series")
         return EXIT_OK
     # export
-    if args.name == "random":
-        if args.dim is None:
-            raise CliInputError("random export needs --dim")
-        l = random_solvable(args.dim, args.field, args.seed)
-    else:
-        l = builtin(args.name, args.field, dim=args.dim)
-    text = format_algebra(l)
+    l = _corpus_algebra(args.name, args)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        save_algebra(l, args.out)
         print(f"wrote {args.out}")
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(format_algebra(l))
     return EXIT_OK
 
 
@@ -411,9 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     kl.set_defaults(func=cmd_corpus)
     ke = ksubs.add_parser("export")
     ke.add_argument("name")
-    ke.add_argument("--field", type=int, default=2)
-    ke.add_argument("--dim", type=int, default=None)
-    ke.add_argument("--seed", type=int, default=0)
+    _add_target_flags(ke)
     ke.add_argument("--out", default=None)
     ke.set_defaults(func=cmd_corpus)
 

@@ -40,8 +40,8 @@ from .algebra import (LieAlgebra, ad_matrix, bracket, is_ideal,
                       is_subalgebra, preserves_brackets, quotient_algebra,
                       subspace_product)
 from .errors import VerificationError, require
-from .ideals import (all_ideals, centralizer_of_factor, ideal_lattice,
-                     is_chief_pair, minimal_ideals_over)
+from .ideals import (ChiefSeries, all_ideals, centralizer_of_factor,
+                     ideal_lattice, is_chief_pair, minimal_ideals_over)
 from .linalg import (BudgetExceeded, Matrix, Subspace, _hash_once,
                      quotient_coords, rref_rows, solve_linear,
                      subspace_intersect, subspace_leq, subspace_sum)
@@ -124,6 +124,16 @@ def get_factor(l: LieAlgebra, a: Subspace, b: Subspace) -> ChiefFactor:
 
 def _derived(l: LieAlgebra, u: Subspace) -> Subspace:
     return subspace_product(l, u, u)
+
+
+def series_factors(series: ChiefSeries) -> tuple[ChiefFactor, ...]:
+    """series' chief factors, bottom up, kept once per series on its
+    algebra's ideal lattice."""
+    return ideal_lattice(series.algebra).per_ideal(_series_factors, series)
+
+
+def _series_factors(l: LieAlgebra, series: ChiefSeries):
+    return tuple(get_factor(l, a, b) for a, b in series.factor_pairs())
 
 
 def chief_factor_catalog(l: LieAlgebra) -> tuple[ChiefFactor, ...]:
@@ -463,12 +473,9 @@ class RelationTable:
         related exactly when their rows share a bit."""
         out = self._series.get(series)
         if out is None:
-            l = series.algebra
-            families = [self._family(get_factor(l, a, b))
-                        for a, b in series.factor_pairs()]
             out = self._series[series] = tuple(
                 anc & self._supp | desc & self._frat
-                for anc, desc in families)
+                for anc, desc in map(self._family, series_factors(series)))
         return out
 
 

@@ -51,7 +51,7 @@ from .errors import require
 from .factors import (ChiefFactor, LConnection, MCrossing, MRelation,
                       common_complements, common_supplements, descends_to,
                       get_factor, is_m_crossing, l_connected, make_crossing,
-                      relation_table)
+                      relation_table, series_factors)
 from .ideals import (ChiefSeries, _term_numbers, core, ideal_lattice,
                      is_chief_pair, make_chief_series)
 from .linalg import (BudgetExceeded, Matrix, Subspace, rref_rows,
@@ -77,8 +77,10 @@ def _section_factor(l: LieAlgebra, top: Subspace,
 
 
 # A seed-0 jh_corpus pass reads 8,710 sections of the 1,973 its factors'
-# _Landings keep, and its collapsed landings 966 of the other kind, kept by
-# per_ideal; each is built once per (factor, ideal).
+# _Landings keep, and its collapsed supplemented landings 1,432 of the other
+# kind, 957 of them built, kept by per_ideal.  A collapsed Frattini landing
+# is itself kept once per (factor, step), so it builds its sum section
+# directly (9 per pass).
 def _sum_section(l: LieAlgebra, y: Subspace, f: ChiefFactor):
     """f's sum section (A+Y)/(B+Y) along the ideal Y, None when
     degenerate (_section_factor)."""
@@ -381,7 +383,7 @@ def _land_frattini(l, y, x, f, bottom_factor, inter_middle):
         ax = lat.join(a, x)
         require(lat.join(a, y) == ax == lat.join(b, x),
                 "numerator sums must agree in the collapsed case")
-        sum_middle = lat.per_ideal(_sum_section, y, f)
+        sum_middle = _sum_section(l, y, f)
         require(sum_middle is not None,
                 "collapsed case must produce a sum factor")
         require(descends_to(sum_middle, f),
@@ -478,12 +480,6 @@ def _check_series_pair(first: ChiefSeries, second: ChiefSeries):
             "chief series between the same endpoints must have equal length")
 
 
-def _factors(l: LieAlgebra, series: ChiefSeries) -> tuple[ChiefFactor, ...]:
-    """series' chief factors, bottom up, kept once per series by
-    jh_permutation on the lattice."""
-    return tuple(get_factor(l, a, b) for a, b in series.factor_pairs())
-
-
 def jh_permutation(first: ChiefSeries, second: ChiefSeries) -> JHReport:
     """Match the factors of two chief series with the same endpoints.
 
@@ -498,7 +494,7 @@ def jh_permutation(first: ChiefSeries, second: ChiefSeries) -> JHReport:
     _check_series_pair(first, second)
     l = first.algebra
     matches = []
-    for i, f in enumerate(ideal_lattice(l).per_ideal(_factors, first), 1):
+    for i, f in enumerate(series_factors(first), 1):
         tr = (transfer_supplemented if f.supplemented
               else transfer_frattini)(f, second)
         rel, conn, shared_s, shared_c = tr.evidence

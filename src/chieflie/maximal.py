@@ -45,11 +45,10 @@ from .algebra import (LieAlgebra, bracket, is_ideal, is_subalgebra,
 from .errors import VerificationError, require
 from .ideals import (core, centralizer, ideal_lattice, is_chief_pair,
                      minimal_ideals, subalgebra_closure)
-from .linalg import (ENUM_COUNT_CAP, BudgetExceeded, Matrix, Subspace,
-                     count_subspaces, enumerate_subspaces, nonzero_directions,
-                     quotient_coords, rref_rows, solve_linear,
-                     subspace_intersect, subspace_leq, subspace_sum, unit,
-                     vec_add)
+from .linalg import (BudgetExceeded, Matrix, Subspace, enumerate_subspaces,
+                     nonzero_directions, quotient_coords, rref_rows,
+                     solve_linear, subspace_intersect, subspace_leq,
+                     subspace_sum, unit, vec_add)
 
 # Cap on solution families when enumerating complements of an abelian minimal
 # ideal (p ** kernel_dim candidate complements).
@@ -71,10 +70,10 @@ def is_maximal(l: LieAlgebra, u: Subspace) -> bool:
                for line in quotient_coords(l.full, u).lines())
 
 
-def enumerated_maximal_subalgebras(l: LieAlgebra,
-                                   count_cap: int = ENUM_COUNT_CAP) -> tuple[Subspace, ...]:
-    """Maximal subalgebras by full subspace enumeration (bounded fallback)."""
-    subs = [u for u in enumerate_subspaces(l.n, l.p, count_cap=count_cap)
+def enumerated_maximal_subalgebras(l: LieAlgebra) -> tuple[Subspace, ...]:
+    """Maximal subalgebras by full subspace enumeration (bounded fallback:
+    enumerate_subspaces refuses before it yields anything)."""
+    subs = [u for u in enumerate_subspaces(l.n, l.p)
             if u.dim < l.n and is_subalgebra(l, u)]
     out = [u for u in subs
            if not any(u.dim < v.dim and subspace_leq(u, v) for v in subs)]
@@ -296,17 +295,8 @@ def maximal_subalgebras(l: LieAlgebra) -> tuple[Subspace, ...]:
           and mins[0].dim + mins[1].dim == l.n):
         found.update(_graph_maximals(l, mins[0], mins[1]))
     elif len(mins) < 3:
-        count = count_subspaces(l.n, l.p)
-        return enumerated_maximal_subalgebras(l) if count <= ENUM_COUNT_CAP \
-            else _refuse(l, count)
+        return enumerated_maximal_subalgebras(l)
     return tuple(sorted(found, key=lambda s: s.key()))
-
-
-def _refuse(l: LieAlgebra, count: int):
-    raise BudgetExceeded(
-        f"no structural route to the core-free maximal subalgebras of this "
-        f"{l.n}-dimensional algebra over GF({l.p}) and full enumeration "
-        f"({count} subspaces) is out of budget", count)
 
 
 @lru_cache(maxsize=None)

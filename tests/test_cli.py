@@ -16,6 +16,7 @@ from chieflie.cli import _axiom_lines, main
 from chieflie.corpus import heisenberg, random_solvable, registry
 from chieflie.fileio import (AlgebraFileError, format_algebra, load_algebra,
                              parse_algebra)
+from test_maximal import witt_text
 
 HEIS_TEXT = """\
 # three-dimensional nilpotent example
@@ -289,6 +290,18 @@ def test_cli_jh_abelian55_needs_no_ideal_enumeration(capsys):
         "every index"]
 
 
+def test_cli_jh_names_the_series_with_a_malformed_vector(capsys):
+    """A bad vector is reported as itself, not as a series that is not a
+    chief series, and names the series it is in."""
+    good, bad = "[[],[[0,1,0,0]]]", "[[],[[true,1,0,0]]]"
+    for argv, which, got in (([bad, good], "first", "[True, 1, 0, 0]"),
+                             ([good, "[[],[[0,1,0]]]"], "second",
+                              "[0, 1, 0]")):
+        assert run(capsys, "jh", "corpus:r4", "--field", "2", *argv) == (
+            1, "", f"error: {which} series: each vector must be a list of 4 "
+                   f"integers, got {got}\n")
+
+
 def test_cli_jh_bad_series(capsys, heis_file):
     # a dim-3 jump is not a chief step
     bad = "[[], [[1,0,0],[0,1,0],[0,0,1]]]"
@@ -366,12 +379,19 @@ def test_cli_corpus_export_round_trip(capsys):
 
 
 def test_cli_corpus_export_random(capsys, tmp_path):
+    """export resolves a name as a corpus: target does, with the same
+    message, and writes the file load_algebra reads back."""
     dest = tmp_path / "rand.alg"
-    code, out, _ = run(capsys, "corpus", "export", "random", "--field", "2",
-                       "--dim", "4", "--seed", "3", "--out", str(dest))
-    assert code == 0
-    assert "wrote" in out
+    code, out, err = run(capsys, "corpus", "export", "random", "--field",
+                         "2", "--dim", "4", "--seed", "3", "--out", str(dest))
+    assert (code, out, err) == (0, f"wrote {dest}\n", "")
     assert load_algebra(str(dest)) == random_solvable(4, 2, 3)
+    assert dest.read_text() == format_algebra(random_solvable(4, 2, 3))
+    code, out, _ = run(capsys, "validate", str(dest))
+    assert code == 0 and out.endswith("valid, solvable, derived length 2\n")
+    missing = [run(capsys, *argv, "--field", "2") for argv in
+               (["corpus", "export", "random"], ["analyze", "corpus:random"])]
+    assert missing == 2 * [(1, "", "error: corpus:random needs --dim\n")]
 
 
 def test_cli_corpus_export_errors(capsys):
@@ -406,6 +426,20 @@ def test_cli_corpus_rejects_unsupported_fields(capsys):
             assert err.splitlines() == [
                 f"error: unsupported prime {field}; supported: "
                 f"(2, 3, 5, 7, 11, 13)"], (argv, field)
+
+
+def test_cli_analyze_refuses_a_simple_algebra_past_the_enumeration(
+        capsys, tmp_path):
+    """The Witt algebra W(1;1) over GF(7) (witt_text) is simple of
+    dimension 7: its maximal subalgebras need a subspace enumeration, which
+    refuses, so nothing reaches stdout."""
+    path = tmp_path / "witt7.alg"
+    path.write_text(witt_text(7))
+    code, out, err = run(capsys, "analyze", str(path))
+    assert (code, out) == (3, "")
+    assert err == ("error: budget exceeded: subspace enumeration limited to "
+                   "n <= 6, p <= 7; got n=7, p=7 (computed count: "
+                   "33736398032)\n")
 
 
 def test_cli_input_error_leaves_next_command_unchanged(capsys):

@@ -7,6 +7,7 @@ from functools import lru_cache, partial
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from chieflie import factors as factors_module
 from chieflie import maximal as maximal_module
 from chieflie.algebra import (LieAlgebra, bracket, is_ideal,
                               preserves_brackets, quotient_algebra,
@@ -491,6 +492,38 @@ def test_l_isomorphic_distinguishes_weights():
     assert l_isomorphic(f1, f2) is not None     # same weight
     assert l_isomorphic(f1, top) is None        # weight 1 vs weight 0
     assert l_isomorphic(top, top) is not None
+
+
+def _quartic_module_algebra(copies):
+    """x acting on `copies` copies of GF(11)^4 by the companion matrix of
+    t^4 - 3t^3 - 1, and nothing else bracketing."""
+    n, p = 1 + 4 * copies, 11
+    sc = [[[0] * n for _ in range(n)] for _ in range(n)]
+    for b in range(1, n, 4):
+        for i, col in enumerate([(0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
+                                 (1, 0, 0, 3)]):
+            for j, v in enumerate(col):
+                sc[0][b + i][b + j], sc[b + i][0][b + j] = v, -v % p
+    return LieAlgebra(n, p, tuple(tuple(map(tuple, pl)) for pl in sc))
+
+
+def test_l_isomorphic_refuses_a_module_hom_scan_past_its_cap():
+    """Two copies V, W of an irreducible module whose endomorphisms are
+    GF(11^4): 11^4 module maps V -> W, over HOM_SCAN_CAP.  get_factor
+    cannot build V/0 on the 9-dimensional algebra (its direction scan
+    refuses first), so the records are built by hand; V is checked chief
+    on x + V alone."""
+    one, l = _quartic_module_algebra(1), _quartic_module_algebra(2)
+    assert is_chief_pair(one, Subspace.span(5, 11, one.full.rows[1:]),
+                         one.zero_space)
+    v, w = (Subspace.span(9, 11, l.full.rows[k:k + 4]) for k in (1, 5))
+    f, g = (ChiefFactor(l, a, l.zero_space, True, False, True, True, (), ())
+            for a in (v, w))
+    assert module_hom_space(f, g).dim == 4
+    with pytest.raises(BudgetExceeded) as e:
+        l_isomorphic(f, g)
+    assert e.value.count == 11 ** 4 == 14_641 > factors_module.HOM_SCAN_CAP
+    assert str(e.value).startswith("module homomorphism scan of size p^4")
 
 
 def test_l_isomorphic_dimension_mismatch():

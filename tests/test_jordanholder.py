@@ -16,7 +16,7 @@ from chieflie.factors import (MRelation, chief_factor_catalog,
                               common_complements, common_supplements,
                               crossing_catalog, descends_to, get_factor,
                               is_m_crossing, l_connected, m_related,
-                              make_crossing, relation_table)
+                              make_crossing, relation_table, series_factors)
 from chieflie.ideals import (IdealLattice, all_ideals, chief_series, core,
                              enumerate_chief_series, ideal_lattice,
                              is_chief_pair, make_chief_series)
@@ -28,8 +28,8 @@ from chieflie.jordanholder import (CutPaste, FrattiniTransfer,
                                    matching_permutations, paste_maximal_up,
                                    paste_series_up, transfer_frattini,
                                    transfer_supplemented)
-from chieflie.linalg import (Subspace, subspace_intersect, subspace_leq,
-                             subspace_sum)
+from chieflie.linalg import (BudgetExceeded, Subspace, subspace_intersect,
+                             subspace_leq, subspace_sum)
 from chieflie.maximal import maximal_records, maximal_subalgebras
 from chieflie.oracle import oracle_complements
 
@@ -500,6 +500,24 @@ def test_series_rows_are_each_factors_rows_packed(name):
                      for a, b in s.factor_pairs())
         for _ in range(2):    # built, then kept
             assert t.series_rows(s) == want
+
+
+def test_series_factors_are_built_once_per_series():
+    l = r4(2)
+    for s in all_series(l):
+        got = series_factors(s)
+        assert got == tuple(get_factor(l, a, b) for a, b in s.factor_pairs())
+        assert series_factors(s) is got
+
+
+def test_permutation_enumeration_refuses_past_its_cap():
+    """abelian(9, 2)'s chief series has 9 factors: 9! orderings to filter,
+    over PERMUTATION_ENUM_CAP = 8!, refused before any relation is read."""
+    s = chief_series(abelian(9, 2))
+    with pytest.raises(BudgetExceeded) as e:
+        matching_permutations(s, s)
+    assert e.value.count == 362_880 > jordanholder.PERMUTATION_ENUM_CAP
+    assert str(e.value).startswith("permutation enumeration too large")
 
 
 @pytest.mark.parametrize("l", [heisenberg(3), h3_plus_line(2), r4(2),

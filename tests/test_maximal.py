@@ -12,11 +12,13 @@ from chieflie.algebra import (bracket, direct_sum, is_ideal, is_subalgebra,
 from chieflie.corpus import (abelian, h3_plus_line, heisenberg, nonabelian2,
                              r4, random_solvable, registry, sl2, sl2sum)
 from chieflie.errors import VerificationError
+from chieflie.fileio import parse_algebra
 from chieflie.ideals import (all_ideals, centralizer, centralizer_of_factor,
                              core, is_chief_pair, is_solvable, minimal_ideals)
 from chieflie.linalg import (BudgetExceeded, Matrix, Subspace,
-                             nonzero_directions, rref_rows,
-                             subspace_intersect, subspace_leq, subspace_sum)
+                             count_subspaces, nonzero_directions, rref_rows,
+                             subspace_intersect, subspace_leq, subspace_sum,
+                             unit)
 from chieflie.maximal import (MaximalRecord, PrimitiveKind, _abelian_part,
                               _ad_fingerprint, _apply_plan, _generating_tuple,
                               _iso_plan, _scaled_fingerprint,
@@ -130,6 +132,50 @@ def test_sl2sum_maximal_structure():
 def test_budget_refusal_for_large_prime_simple_algebra():
     with pytest.raises(BudgetExceeded):
         maximal_subalgebras(sl2(11))
+
+
+def witt_text(p):
+    """The Witt algebra W(1;1) over GF(p) as an algebra file: basis
+    e_-1 .. e_(p-2) and [e_i, e_j] = (j - i) e_(i+j), zero out of range."""
+    lines = [f"field {p}", f"dim {p}"]
+    for i in range(-1, p - 1):
+        for j in range(i + 1, p - 1):
+            if i + j <= p - 2:
+                lines.append(f"bracket {i + 2} {j + 2} {i + j + 2} "
+                             f"{(j - i) % p}")
+    return "\n".join(lines) + "\n"
+
+
+def test_simple_algebra_refusal_comes_from_the_subspace_enumeration():
+    """W(1;1) over GF(7) is simple and 7-dimensional, so its maximal
+    subalgebras are left to the subspace enumeration, which refuses before
+    it yields anything and names the count."""
+    l = parse_algebra(witt_text(7))
+    assert minimal_ideals(l) == (l.full,)
+    with pytest.raises(BudgetExceeded) as e:
+        maximal_subalgebras(l)
+    assert e.value.count == count_subspaces(7, 7) == 33_736_398_032
+    assert str(e.value).startswith("subspace enumeration limited to n <= 6")
+
+
+def test_complement_family_refuses_past_its_cap():
+    """In nonabelian2 + abelian(4) over GF(13) the complements of the
+    central line <e6> are the graphs of maps L/<e6> -> <e6> killing the
+    derived line: 13^4 of them, over COMPLEMENT_FAMILY_CAP."""
+    l = direct_sum(nonabelian2(13), abelian(4, 13))
+    with pytest.raises(BudgetExceeded) as e:
+        maximal._complement_subalgebras(l, span(l, unit(5, 6)))
+    assert e.value.count == 13 ** 4 == 28_561 > maximal.COMPLEMENT_FAMILY_CAP
+    assert str(e.value).startswith("complement family of size p^4")
+
+
+def test_isomorphism_search_refuses_past_its_vector_cap():
+    """sl2 + sl2 over GF(7) has 7^6 vectors to scan, over ISO_VECTOR_CAP."""
+    l = sl2sum(7)
+    with pytest.raises(BudgetExceeded) as e:
+        algebra_isomorphisms(l, l)
+    assert e.value.count == 7 ** 6 == 117_649 > maximal.ISO_VECTOR_CAP
+    assert str(e.value).startswith("isomorphism search scans p^6 vectors")
 
 
 # -- Frattini subalgebra ----------------------------------------------------
