@@ -3,6 +3,8 @@
 An algebra is a dense tensor sc[i][j][k] with [x_i, x_j] = sum_k sc[i][j][k] x_k,
 stored antisymmetrically in both orders.  Validation checks antisymmetry and
 the Jacobi identity and reports the first violating basis triple.
+Quotients L/I and subalgebras U are presented by one builder, the algebra
+induced on a section W/U: W = L over I, or U over 0.
 """
 
 from __future__ import annotations
@@ -229,23 +231,28 @@ class QuotientPresentation:
         return Subspace(self.parent.n, self.parent.p, rows)
 
 
+def _induced(l: LieAlgebra, qc: QuotientCoords, labels=None) -> LieAlgebra:
+    """The algebra induced on qc.space/qc.sub, a subalgebra W of L over an
+    ideal U of W, in qc's coordinates: [x_i, x_j] is the projected bracket
+    of the lifts, bracketed only for i < j since [x_i, x_i] = 0 and
+    [x_j, x_i] = -[x_i, x_j]."""
+    k, lifts = qc.dim, qc.lifts.rows
+    sc = [[(0,) * k] * k for _ in range(k)]
+    for i, j in itertools.combinations(range(k), 2):
+        c = sc[i][j] = qc.project(bracket(l, lifts[i], lifts[j]))
+        sc[j][i] = tuple([-x % l.p for x in c])
+    alg = LieAlgebra(k, l.p, tuple(map(tuple, sc)), labels)
+    check_valid(alg)
+    return alg
+
+
 @lru_cache(maxsize=None)
 def quotient_algebra(l: LieAlgebra, ideal: Subspace) -> QuotientPresentation:
     if not is_ideal(l, ideal):
         raise ValueError("quotient by a non-ideal subspace")
     qc = quotient_coords(l.full, ideal)
-    k, lifts = qc.dim, qc.lifts.rows
-    # [x_i, x_i] = 0 and [x_j, x_i] = -[x_i, x_j]: bracket only i < j
-    sc = [[(0,) * k] * k for _ in range(k)]
-    for i, j in itertools.combinations(range(k), 2):
-        c = sc[i][j] = qc.project(bracket(l, lifts[i], lifts[j]))
-        sc[j][i] = tuple([-x % l.p for x in c])
-    labels = None
-    if l.labels and ideal.dim == 0:
-        labels = l.labels
-    q = LieAlgebra(k, l.p, tuple(map(tuple, sc)), labels)
-    check_valid(q)
-    return QuotientPresentation(l, ideal, q, qc)
+    labels = l.labels if l.labels and not ideal.dim else None
+    return QuotientPresentation(l, ideal, _induced(l, qc, labels), qc)
 
 
 # -- subalgebras as algebras ----------------------------------------------
@@ -281,13 +288,8 @@ class SubalgebraPresentation:
 def restrict_algebra(l: LieAlgebra, u: Subspace) -> SubalgebraPresentation:
     if not is_subalgebra(l, u):
         raise ValueError("restriction to a non-subalgebra subspace")
-    brackets = [[bracket(l, x, y) for y in u.rows] for x in u.rows]
-    if not all(u.contains(w) for row in brackets for w in row):
-        raise ValueError("vector outside subspace")
-    pres_sc = tuple(tuple(u.coords(w) for w in row) for row in brackets)
-    alg = LieAlgebra(u.dim, l.p, pres_sc)
-    check_valid(alg)
-    return SubalgebraPresentation(l, u, alg)
+    return SubalgebraPresentation(
+        l, u, _induced(l, quotient_coords(u, l.zero_space)))
 
 
 # -- constructors ----------------------------------------------------------
@@ -350,7 +352,7 @@ def derivation_space(l: LieAlgebra) -> list[Matrix]:
     """Basis of Der(L): matrices D with D[x,y] = [Dx,y] + [x,Dy]."""
     n, p = l.n, l.p
     # Unknowns D[r][c] flattened row-major; one vector equation per basis pair.
-    rows, rhs = [], []
+    rows = []
     for i in range(n):
         for j in range(i + 1, n):
             cij = l.sc[i][j]
@@ -364,10 +366,7 @@ def derivation_space(l: LieAlgebra) -> list[Matrix]:
                     coeff[r * n + i] = (coeff[r * n + i] - l.sc[r][j][k]) % p
                     coeff[r * n + j] = (coeff[r * n + j] - l.sc[i][r][k]) % p
                 rows.append(tuple(coeff))
-                rhs.append(0)
-    if not rows:
-        rows = [tuple([0] * (n * n))]
-        rhs = [0]
-    _, kernel = solve_linear(rows, tuple(rhs), p)
+    rows = rows or [(0,) * (n * n)]
+    _, kernel = solve_linear(rows, (0,) * len(rows), p)
     return [Matrix(p, tuple(tuple(flat[r * n + c] for c in range(n))
                             for r in range(n))) for flat in kernel.rows]

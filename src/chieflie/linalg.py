@@ -6,7 +6,8 @@ below).  The Subspace constructor owns
 canonical form: it reduces whatever spanning rows it is given to reduced row
 echelon form, so no non-canonical Subspace can be built, structural equality
 and hashing are subspace equality, and (dim, rows) is a total deterministic
-order used for every canonical choice in the package.
+order used for every canonical choice in the package.  solve_linear reads
+its particular solution and its kernel off one packed span.
 """
 
 from __future__ import annotations
@@ -51,11 +52,18 @@ def rref_rows(rows, p: int) -> Rows:
     be any ints; the output entries lie in [0, p).  Rows of unequal length
     raise ValueError."""
     rows = tuple(rows)
+    n = _width(rows)
+    basis = _span(p, n, [_pack(r, p) for r in rows])
+    return tuple([_unpack(m, n, p) for m in sorted(basis, reverse=True)])
+
+
+def _width(rows) -> int:
+    """The common length of rows, 0 if there are none; ValueError if they
+    differ."""
     n = len(rows[0]) if rows else 0
     if any(len(r) != n for r in rows):
         raise ValueError(f"rows of unequal lengths {sorted({len(r) for r in rows})}")
-    basis = _span(p, n, [_pack(r, p) for r in rows])
-    return tuple([_unpack(m, n, p) for m in sorted(basis, reverse=True)])
+    return n
 
 
 # -- the packed kernel ------------------------------------------------------
@@ -406,34 +414,27 @@ def solve_linear(a_rows, b: Vector, p: int):
     """Solve A x = b over GF(p) with A given by rows.
 
     Returns (particular, kernel) where particular is None when the system is
-    inconsistent; kernel is always the full solution space of A x = 0.
+    inconsistent; kernel is always the full solution space of A x = 0.  The
+    answer is read off one packed span of m + n + 1 lanes: unknown j is the
+    row (column j of A | 0 | e_j), and -b the row (-b | 1 | 0), with the
+    marker lane t above x.  As in subspace_intersect, the reduced rows with
+    zero top part span the (t, x) with A x = t b.  The one with t = 1, if
+    any, gives the particular, which is zero at every kernel pivot; the
+    others are the kernel's canonical rows.
     """
-    a_rows = tuple(tuple(x % p for x in r) for r in a_rows)
-    m = len(a_rows)
-    n = len(a_rows[0]) if m else len(b)
+    a_rows = tuple(a_rows)
+    m, n = len(a_rows), _width(a_rows)
     if len(b) != m:
         raise ValueError(f"rhs length {len(b)} does not match {m} equations")
-    aug = rref_rows(tuple(r + (bv % p,) for r, bv in zip(a_rows, b)), p)
-    pivots = tuple([r.index(1) for r in aug])
-    # A row pivoting on column n (the last row, if any) reads 0 = 1; the
-    # rows before it are the RREF of A, so they also give the kernel.
-    consistent = not pivots or pivots[-1] < n
-    if not consistent:
-        aug, pivots = aug[:-1], pivots[:-1]
-    kernel_rows = []
-    for fc in (j for j in range(n) if j not in pivots):
-        vec = [0] * n
-        vec[fc] = 1
-        for row, piv in zip(aug, pivots):
-            vec[piv] = (-row[fc]) % p
-        kernel_rows.append(tuple(vec))
-    kernel = Subspace(n, p, kernel_rows)
-    if not consistent:
-        return None, kernel
-    particular = [0] * n
-    for row, piv in zip(aug, pivots):
-        particular[piv] = row[n]
-    return tuple(particular), kernel
+    w = prime_field(p).w
+    s, t = (n + 1) * w, 1 << n * w
+    rows = [_pack(c, p) << s | t >> (j + 1) * w
+            for j, c in enumerate(zip(*a_rows))]
+    rows.append(_pack([-x for x in b], p) << s | t)
+    tops = [v for v in _span(p, m + n + 1, rows) if not v >> s]
+    kernel = Subspace._of(n, p, [v for v in tops if v < t])
+    part = [_unpack(v - t, n, p) for v in tops if v >= t]
+    return (part[0] if part else None), kernel
 
 
 # -- counting and enumeration ---------------------------------------------

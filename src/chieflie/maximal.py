@@ -117,13 +117,9 @@ def _complement_subalgebras(l: LieAlgebra, a: Subspace) -> list[Subspace]:
                     row[s * da + t0] -= wq[s]
                 eq_rows.append(tuple(x % p for x in row))
                 rhs.append((-resid[t0]) % p)
-    if eq_rows:
-        part, kernel = solve_linear(eq_rows, tuple(rhs), p)
-        if part is None:
-            return []
-    else:
-        part = (0,) * nunk
-        kernel = Subspace.full(nunk, p)
+    part, kernel = solve_linear(eq_rows or [(0,) * nunk], tuple(rhs) or (0,), p)
+    if part is None:
+        return []
     if p ** kernel.dim > COMPLEMENT_FAMILY_CAP:
         raise BudgetExceeded(
             f"complement family of size p^{kernel.dim} exceeds cap "

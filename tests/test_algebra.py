@@ -10,10 +10,11 @@ from chieflie.algebra import (LieAlgebra, ValidationError, ad_matrix, bracket,
                               quotient_algebra, restrict_algebra, semidirect,
                               subspace_product, validate)
 from chieflie.corpus import (abelian, heisenberg, nonabelian2, r4,
-                             random_solvable, sl2, sl2sum)
+                             random_solvable, registry, sl2, sl2sum)
 from chieflie.fileio import format_algebra, parse_algebra
 from chieflie.ideals import all_ideals
 from chieflie.linalg import Matrix, Subspace, rref_rows, vec_add
+from chieflie.maximal import maximal_subalgebras
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +245,32 @@ def test_quotient_projection_is_homomorphism():
 def test_quotient_requires_ideal():
     with pytest.raises(ValueError):
         quotient_algebra(sl2(5), Subspace.span(3, 5, [(1, 0, 0)]))
+
+
+def test_induced_algebras_match_all_pairs():
+    """restrict_algebra and quotient_algebra, which bracket only the pairs
+    i < j, give the tensor of all ordered pairs, on every maximal
+    subalgebra and every ideal of the registry algebras and of seeded
+    random solvable ones.  Only the quotient by 0 keeps the labels; the
+    memo is bypassed, since its key ignores labels and an equal algebra
+    asked earlier would answer with its own."""
+
+    def all_pairs(l, rows, coords):
+        return tuple(tuple(coords(bracket(l, x, y)) for y in rows)
+                     for x in rows)
+
+    for l in [e.algebra for e in registry()] + [
+            random_solvable(n, p, seed)
+            for p in (2, 3, 5) for n in (3, 4, 5) for seed in (1, 2)]:
+        for m in maximal_subalgebras(l):
+            r = restrict_algebra(l, m).algebra
+            assert r.sc == all_pairs(l, m.rows, m.coords)
+            assert r.labels is None
+        for b in all_ideals(l):
+            q = quotient_algebra.__wrapped__(l, b)
+            lifts = [q.lift(e) for e in Subspace.full(q.algebra.n, l.p).rows]
+            assert q.algebra.sc == all_pairs(l, lifts, q.project)
+            assert q.algebra.labels == (None if b.dim else l.labels)
 
 
 def test_restrict_algebra_roundtrip():

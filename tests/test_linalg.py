@@ -43,7 +43,7 @@ def test_rref_rejects_rows_of_unequal_length():
             rref_rows([(1, 0), (1, 1, 1)], p)
         with pytest.raises(ValueError, match="unequal lengths"):
             rref_rows([(1, 1, 1), (1, 0)], p)
-        with pytest.raises(ValueError, match="unequal lengths"):
+        with pytest.raises(ValueError, match=r"unequal lengths \[2, 3\]$"):
             solve_linear([(1, 0), (0, 1, 1)], (1, 1), p)
 
 
@@ -258,6 +258,38 @@ def test_solve_linear_matches_brute_force_property(data):
     assert (part is not None) == solvable
     if part is not None:
         assert image(part) == b
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_solve_linear_particular_is_zero_at_kernel_pivots_property(data):
+    """The particular solves A x = b and is zero at every kernel pivot; a
+    homogeneous system gives the zero particular; and one zero row in k
+    unknowns, the form of a system with no equations, gives (0, ..., 0)
+    and the whole space."""
+    p = data.draw(st.sampled_from((2, 3, 5, 7)))
+    n = data.draw(st.integers(0, 5))
+    m = data.draw(st.integers(1, 6))
+    vec = st.tuples(*[st.integers(0, p - 1)] * n)
+    a = data.draw(st.lists(vec, min_size=m, max_size=m))
+
+    def image(x):
+        return tuple(sum(r[j] * x[j] for j in range(n)) % p for r in a)
+
+    # half of the systems are consistent by construction
+    b = image(data.draw(vec)) if data.draw(st.booleans()) else tuple(
+        data.draw(st.lists(st.integers(0, p - 1), min_size=m, max_size=m)))
+    rank = len(rref_rows(a, p))
+    part, kernel = solve_linear(a, b, p)
+    assert kernel.n == n and kernel.dim == n - rank
+    assert not any(any(image(k)) for k in kernel.rows)
+    solvable = len(rref_rows([r + (c,) for r, c in zip(a, b)], p)) == rank
+    assert (part is not None) == solvable
+    if part is not None:
+        assert image(part) == b
+        assert not any(part[j] for j in kernel.pivots)
+    assert solve_linear(a, (0,) * m, p)[0] == (0,) * n
+    assert solve_linear([(0,) * n], (0,), p) == ((0,) * n, Subspace.full(n, p))
 
 
 # ---------------------------------------------------------------------------

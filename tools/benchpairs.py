@@ -2,9 +2,9 @@
 
     python3 tools/benchpairs.py PARENT CHANGE --first-seed N
 
-PARENT and CHANGE are source trees, each holding BENCHMARK.json, src/ and
-perfbench/: for example a `git archive` of the parent commit and a copy of
-the working tree.
+PARENT and CHANGE are source trees, each holding BENCHMARK.json, README.md
+(a test reads it), src/, perfbench/ and tests/: for example a `git archive`
+of the parent commit and a copy of the working tree.
 For each workload of BENCHMARK.json, pair i (0 <= i < PAIRS) runs
 
     python3 perfbench/run.py --workload W --seed S --seconds T --trace 0
@@ -12,7 +12,11 @@ For each workload of BENCHMARK.json, pair i (0 <= i < PAIRS) runs
 in both trees with the same seed S = N + i, the parent first when i is even
 and the change first when it is odd; T is BENCHMARK.json's run_seconds.
 Then each side makes one seed-0 --trace 1 run of TRACE_SECONDS for the
-per-layer counts and times.
+per-layer counts and times.  Last, each tree runs the tier-1 suite once,
+
+    python3 -m pytest -q --continue-on-collection-errors --durations=10
+
+with src/ on PYTHONPATH, for its wall time and its ten slowest tests.
 
 The record is written next to this repository's BENCHMARK.json as
 BENCH_<parent>-child.json, <parent> being the first 7 hex digits of this
@@ -21,7 +25,7 @@ before the change's commit exists, while HEAD is still the parent.  Per
 workload and end-to-end metric it holds both sides' medians and quartiles,
 every run, the change-to-parent ratio of the medians and the pairs the
 change won or tied, and per layer both sides' traced seed-0 values; it also
-names the host.
+holds each side's single tier-1 run and names the host.
 """
 
 from __future__ import annotations
@@ -30,9 +34,11 @@ import argparse
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -108,6 +114,25 @@ def workload_record(trees: dict, name: str, spec: dict,
     }
 
 
+def tier1(tree: Path) -> dict:
+    """One tier-1 suite run in tree: its wall time, its last summary line
+    and its ten slowest test phases, as pytest --durations=10 lists them."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, ["src", os.environ.get("PYTHONPATH")])))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
+         "--durations=10"], cwd=tree, env=env, capture_output=True, text=True,
+        check=False)
+    wall = time.perf_counter() - start
+    lines = proc.stdout.strip().splitlines()
+    duration = re.compile(r"([\d.]+)s (\w+) +(.+)$")
+    slowest = [{"seconds": float(m[1]), "phase": m[2], "test": m[3]}
+               for m in map(duration.match, lines) if m]
+    return {"runs": 1, "wall_s": wall, "exit_code": proc.returncode,
+            "summary": lines[-1] if lines else "", "slowest": slowest}
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent", type=Path)
@@ -130,6 +155,10 @@ def main(argv=None) -> int:
         "workloads": {w["name"]: workload_record(trees, w["name"], spec,
                                                  args.first_seed)
                       for w in spec["workloads"]},
+        "tier1": {"command": "python3 -m pytest -q "
+                             "--continue-on-collection-errors --durations=10",
+                  "note": "one run per tree, not a comparison",
+                  **{side: tier1(tree) for side, tree in trees.items()}},
         "parent": {"git_sha": sha},
         "change": {"git_sha": None},
         "host": {"python": platform.python_version(),
