@@ -4,12 +4,11 @@ from .field import Fp, PrimeField, prime_field, SUPPORTED_PRIMES
 from .linalg import (BudgetExceeded, Matrix, Subspace, enumerate_subspaces,
                      gaussian_binomial, count_subspaces, quotient_coords,
                      solve_linear, subspace_intersect, subspace_leq, subspace_sum)
-from .algebra import (LieAlgebra, QuotientPresentation, SubalgebraPresentation,
-                      ValidationError, ValidationReport, ad_matrix, bracket,
-                      check_valid, derivation_space, direct_sum,
-                      extend_by_derivation, is_ideal, is_subalgebra,
-                      quotient_algebra, restrict_algebra, semidirect,
-                      subspace_product, validate)
+from .algebra import (LieAlgebra, Section, ValidationError, ValidationReport,
+                      ad_matrix, bracket, check_valid, derivation_space,
+                      direct_sum, extend_by_derivation, is_ideal,
+                      is_subalgebra, quotient_algebra, restrict_algebra,
+                      semidirect, subspace_product, validate)
 from .errors import VerificationError
 from .ideals import (ChiefSeries, SeriesEnumeration, all_ideals,
                      centralizer_of_factor, chief_series, core, derived_series,

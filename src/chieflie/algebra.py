@@ -3,8 +3,9 @@
 An algebra is a dense tensor sc[i][j][k] with [x_i, x_j] = sum_k sc[i][j][k] x_k,
 stored antisymmetrically in both orders.  Validation checks antisymmetry and
 the Jacobi identity and reports the first violating basis triple.
-Quotients L/I and subalgebras U are presented by one builder, the algebra
-induced on a section W/U: W = L over I, or U over 0.
+Quotients L/I and subalgebras U are one record, a Section: the coordinates
+of W/U (QuotientCoords, with W = L over I, or U over 0) and the algebra
+induced on them by one bracket loop.  An induced algebra carries no labels.
 """
 
 from __future__ import annotations
@@ -208,88 +209,47 @@ def preserves_brackets(theta: Matrix, src, dst) -> bool:
     return True
 
 
-# -- quotients -------------------------------------------------------------
+# -- sections: quotients and subalgebras ---------------------------------
 
 
 @dataclass(frozen=True)
-class QuotientPresentation:
-    """L/I with explicit project/lift between parent and quotient coordinates."""
+class Section:
+    """A section W/U of L as an algebra: coords maps vectors and subspaces
+    between L and W/U (project, lift, image, preimage), and algebra is the
+    algebra induced on W/U in coords' coordinates."""
 
-    parent: LieAlgebra
-    ideal: Subspace
-    algebra: LieAlgebra
     coords: QuotientCoords
-
-    def project(self, v: Vector) -> Vector:
-        return self.coords.project(v)
-
-    def lift(self, q: Vector) -> Vector:
-        return self.coords.lift(q)
-
-    def preimage_subspace(self, q: Subspace) -> Subspace:
-        rows = [self.lift(r) for r in q.rows] + list(self.ideal.rows)
-        return Subspace(self.parent.n, self.parent.p, rows)
+    algebra: LieAlgebra
 
 
-def _induced(l: LieAlgebra, qc: QuotientCoords, labels=None) -> LieAlgebra:
-    """The algebra induced on qc.space/qc.sub, a subalgebra W of L over an
-    ideal U of W, in qc's coordinates: [x_i, x_j] is the projected bracket
-    of the lifts, bracketed only for i < j since [x_i, x_i] = 0 and
+def _section(l: LieAlgebra, qc: QuotientCoords) -> Section:
+    """The section qc.space/qc.sub, a subalgebra W of L over an ideal U of
+    W, with its induced algebra: [x_i, x_j] is the projected bracket of the
+    lifts, bracketed only for i < j since [x_i, x_i] = 0 and
     [x_j, x_i] = -[x_i, x_j]."""
     k, lifts = qc.dim, qc.lifts.rows
     sc = [[(0,) * k] * k for _ in range(k)]
     for i, j in itertools.combinations(range(k), 2):
         c = sc[i][j] = qc.project(bracket(l, lifts[i], lifts[j]))
         sc[j][i] = tuple([-x % l.p for x in c])
-    alg = LieAlgebra(k, l.p, tuple(map(tuple, sc)), labels)
+    alg = LieAlgebra(k, l.p, tuple(map(tuple, sc)))
     check_valid(alg)
-    return alg
+    return Section(qc, alg)
 
 
 @lru_cache(maxsize=None)
-def quotient_algebra(l: LieAlgebra, ideal: Subspace) -> QuotientPresentation:
+def quotient_algebra(l: LieAlgebra, ideal: Subspace) -> Section:
+    """L/I as the section (L, I)."""
     if not is_ideal(l, ideal):
         raise ValueError("quotient by a non-ideal subspace")
-    qc = quotient_coords(l.full, ideal)
-    labels = l.labels if l.labels and not ideal.dim else None
-    return QuotientPresentation(l, ideal, _induced(l, qc, labels), qc)
+    return _section(l, quotient_coords(l.full, ideal))
 
 
-# -- subalgebras as algebras ----------------------------------------------
-
-
-@dataclass(frozen=True)
-class SubalgebraPresentation:
-    """A subalgebra U of L as an algebra in its own right, with coordinate
-    maps between U-coordinates and ambient vectors."""
-
-    parent: LieAlgebra
-    subspace: Subspace
-    algebra: LieAlgebra
-
-    def to_sub(self, v: Vector) -> Vector:
-        if not self.subspace.contains(v):
-            raise ValueError(f"vector {v} outside the subalgebra")
-        return self.subspace.coords(v)
-
-    def to_parent(self, c: Vector) -> Vector:
-        return self.subspace.combine(c)
-
-    def sub_subspace(self, u: Subspace) -> Subspace:
-        """Intersection-free restriction: u must already lie inside U."""
-        rows = [self.to_sub(r) for r in u.rows]
-        return Subspace(self.algebra.n, self.parent.p, rows)
-
-    def parent_subspace(self, u: Subspace) -> Subspace:
-        rows = [self.to_parent(r) for r in u.rows]
-        return Subspace(self.parent.n, self.parent.p, rows)
-
-
-def restrict_algebra(l: LieAlgebra, u: Subspace) -> SubalgebraPresentation:
+def restrict_algebra(l: LieAlgebra, u: Subspace) -> Section:
+    """A subalgebra U as the section (U, 0)."""
     if not is_subalgebra(l, u):
         raise ValueError("restriction to a non-subalgebra subspace")
-    return SubalgebraPresentation(
-        l, u, _induced(l, quotient_coords(u, l.zero_space)))
+    return _section(l, quotient_coords(u, l.zero_space))
 
 
 # -- constructors ----------------------------------------------------------

@@ -10,8 +10,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .algebra import (LieAlgebra, Matrix, check_valid, derivation_space,
-                      direct_sum, extend_by_derivation, semidirect)
+from .algebra import (LieAlgebra, Matrix, derivation_space, direct_sum,
+                      extend_by_derivation, semidirect)
 from .field import SUPPORTED_PRIMES
 
 
@@ -68,8 +68,9 @@ def random_solvable(dim: int, p: int, seed: int) -> LieAlgebra:
     extensions by derivations sampled from the exact derivation space.
 
     Every step extends a solvable algebra by a derivation, so the result is
-    always solvable and always satisfies Jacobi; the final validation is a
-    guard against derivation-solver bugs, not an expected path.
+    always solvable and always satisfies Jacobi; each step's validation, in
+    from_brackets, is a guard against derivation-solver bugs, not an
+    expected path.
     """
     if dim < 1:
         raise ValueError("dimension must be positive")
@@ -86,7 +87,6 @@ def random_solvable(dim: int, p: int, seed: int) -> LieAlgebra:
                         combined[r][s] = (combined[r][s] + c * mat.rows[r][s]) % p
         d = Matrix.from_rows(combined, p)
         alg = extend_by_derivation(alg, d, new_label=f"t{alg.n + 1}")
-        check_valid(alg)
     return alg
 
 

@@ -364,8 +364,8 @@ def l_connected(f: ChiefFactor, g: ChiefFactor) -> LConnection | None:
         if rep.kind is not PrimitiveKind.TWO_NONABELIAN_MINIMALS:
             continue
         m1, m2 = rep.socle_minimals
-        f1 = get_factor(l, q.preimage_subspace(m1), n_ideal)
-        f2 = get_factor(l, q.preimage_subspace(m2), n_ideal)
+        f1 = get_factor(l, q.coords.preimage(m1), n_ideal)
+        f2 = get_factor(l, q.coords.preimage(m2), n_ideal)
         for x, y in ((f1, f2), (f2, f1)):
             if l_isomorphic(f, x) is not None and l_isomorphic(g, y) is not None:
                 return LConnection("split_primitive_quotient", ideal=n_ideal,

@@ -44,9 +44,8 @@ import math
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache, partial
 
-from .algebra import (LieAlgebra, QuotientPresentation, SubalgebraPresentation,
-                      bracket, is_ideal, is_subalgebra, preserves_brackets,
-                      quotient_algebra, restrict_algebra)
+from .algebra import (LieAlgebra, Section, bracket, is_ideal, is_subalgebra,
+                      preserves_brackets, quotient_algebra, restrict_algebra)
 from .errors import require
 from .factors import (ChiefFactor, LConnection, MCrossing, MRelation,
                       common_complements, common_supplements, descends_to,
@@ -540,9 +539,9 @@ class CutPaste:
     algebra: LieAlgebra
     b: Subspace
     u: Subspace
-    inside: SubalgebraPresentation   # U as an algebra
-    quotient: QuotientPresentation   # L/B
-    sub_quotient: QuotientPresentation  # U/(B n U), in U-coordinates
+    inside: Section   # U as an algebra
+    quotient: Section   # L/B
+    sub_quotient: Section  # U/(B n U), in U-coordinates
     iso: Matrix   # U/(B n U)-coordinates -> L/B-coordinates
 
     @property
@@ -560,13 +559,13 @@ def cut_and_paste(l: LieAlgebra, b: Subspace, u: Subspace) -> CutPaste:
         raise ValueError("the ideal and subalgebra must sum to the whole "
                          "algebra")
     inside = restrict_algebra(l, u)
-    bu_sub = inside.sub_subspace(subspace_intersect(b, u))
+    bu_sub = inside.coords.image(subspace_intersect(b, u))
     quotient = quotient_algebra(l, b)
     sub_quotient = quotient_algebra(inside.algebra, bu_sub)
     k = quotient.algebra.n
     require(sub_quotient.algebra.n == k,
             "the two quotients must have equal dimension")
-    cols = [quotient.project(inside.to_parent(v))
+    cols = [quotient.coords.project(inside.coords.lift(v))
             for v in sub_quotient.coords.lifts.rows]
     theta_rows = tuple(tuple(cols[c][r] for c in range(k)) for r in range(k))
     require(len(rref_rows(theta_rows, l.p)) == k,
@@ -595,7 +594,7 @@ def cut_series_down(cp: CutPaste, series: ChiefSeries) -> ChiefSeries:
         require(subspace_sum(cp.b, tu) == t,
                 "series term must be recovered as the ideal plus its trace "
                 "on the supplement")
-        sub_terms.append(cp.inside.sub_subspace(tu))
+        sub_terms.append(cp.inside.coords.image(tu))
     return make_chief_series(cp.inside.algebra, sub_terms)
 
 
@@ -607,12 +606,12 @@ def paste_series_up(cp: CutPaste, series: ChiefSeries) -> ChiefSeries:
     """
     if series.algebra != cp.inside.algebra:
         raise ValueError("series must belong to the supplement's algebra")
-    if not subspace_leq(cp.inside.sub_subspace(cp.b_in_u), series.terms[0]):
+    if not subspace_leq(cp.inside.coords.image(cp.b_in_u), series.terms[0]):
         raise ValueError("series must start at or above the trace of the "
                          "cut ideal")
     parent_terms = []
     for t in series.terms:
-        tp = cp.inside.parent_subspace(t)
+        tp = cp.inside.coords.preimage(t)
         lifted = subspace_sum(cp.b, tp)
         require(subspace_intersect(lifted, cp.u) == tp,
                 "pasted term must trace back to the original term")
@@ -632,11 +631,11 @@ def cut_maximal_down(cp: CutPaste, m: Subspace) -> Subspace:
     if not subspace_leq(cp.b, m):
         raise ValueError("the maximal subalgebra must contain the cut ideal")
     trace = subspace_intersect(m, cp.u)
-    trace_sub = cp.inside.sub_subspace(trace)
+    trace_sub = cp.inside.coords.image(trace)
     require(is_maximal(cp.inside.algebra, trace_sub),
             "trace of a maximal subalgebra on the supplement must be "
             "maximal there")
-    core_trace = cp.inside.parent_subspace(core(cp.inside.algebra, trace_sub))
+    core_trace = cp.inside.coords.preimage(core(cp.inside.algebra, trace_sub))
     require(core_trace == subspace_intersect(core(l, m), cp.u),
             "core of the trace must be the trace of the core")
     return trace
@@ -648,7 +647,7 @@ def paste_maximal_up(cp: CutPaste, t: Subspace) -> Subspace:
     The result is verified maximal in L with core B plus the original core;
     input and output in ambient coordinates.
     """
-    t_sub = cp.inside.sub_subspace(t)
+    t_sub = cp.inside.coords.image(t)
     if not is_maximal(cp.inside.algebra, t_sub):
         raise ValueError("paste_maximal_up needs a maximal subalgebra of "
                          "the supplement")
@@ -659,7 +658,7 @@ def paste_maximal_up(cp: CutPaste, t: Subspace) -> Subspace:
     require(is_maximal(cp.algebra, m),
             "pasting the ideal onto a maximal trace must give a maximal "
             "subalgebra")
-    core_t = cp.inside.parent_subspace(core(cp.inside.algebra, t_sub))
+    core_t = cp.inside.coords.preimage(core(cp.inside.algebra, t_sub))
     require(core(cp.algebra, m) == subspace_sum(cp.b, core_t),
             "core of the pasted subalgebra must be the ideal plus the "
             "original core")

@@ -4,10 +4,13 @@ Vectors are tuples of ints in [0, p); inside a Subspace they are packed into
 one int each, a fixed-width lane per coordinate (see the packed kernel
 below).  The Subspace constructor owns
 canonical form: it reduces whatever spanning rows it is given to reduced row
-echelon form, so no non-canonical Subspace can be built, structural equality
-and hashing are subspace equality, and (dim, rows) is a total deterministic
-order used for every canonical choice in the package.  solve_linear reads
-its particular solution and its kernel off one packed span.
+echelon form, so no non-canonical Subspace can be built.  A Subspace is
+identified by its packed canonical basis: equality, hashing and the key
+(dim, packed basis) read it, and that key orders as (dim, rows), the total
+deterministic order used for every canonical choice in the package.
+solve_linear reads its particular solution and its kernel off one packed
+span.  QuotientCoords carries a section W/U: vectors and subspaces between
+W and GF(p)^k.
 """
 
 from __future__ import annotations
@@ -198,7 +201,7 @@ def _span(p: int, lanes: int, vectors, basis=()) -> list:
 def _hash_once(cls):
     """Class decorator for the immutable values used as memo keys: keep the
     value of their __hash__ (the hash of the compared-field tuple, or of
-    (n, p, rows) for Subspace) on the instance after its first use."""
+    (n, p, _basis) for Subspace) on the instance after its first use."""
     fieldwise = cls.__hash__
 
     def __hash__(self) -> int:
@@ -221,7 +224,8 @@ class Subspace:
     so rows is always the canonical basis of the span it was given.  The
     basis is also kept packed (_pack) in pivot order, and a subspace built
     from packed rows (sum, meet, spin) unpacks rows only on first use.
-    Equality compares that basis; the hash is hash((n, p, rows)).
+    Equality, the hash hash((n, p, _basis)) and key() read that basis, so
+    none of them unpacks rows.
     """
 
     def __init__(self, n: int, p: int, rows):
@@ -256,7 +260,7 @@ class Subspace:
         return (self.n, self.p, self._basis) == (other.n, other.p, other._basis)
 
     def __hash__(self):
-        return hash((self.n, self.p, self.rows))
+        return hash((self.n, self.p, self._basis))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"Subspace is immutable; cannot set {name}")
@@ -311,8 +315,9 @@ class Subspace:
             yield self.combine(coeffs)
 
     def key(self):
-        """Total deterministic order: by dimension, then basis rows."""
-        return (self.dim, self.rows)
+        """Total deterministic order: by dimension, then packed basis, which
+        for equal n and p orders as the basis rows."""
+        return (self.dim, self._basis)
 
     def __repr__(self):
         if not self.rows:
@@ -491,24 +496,27 @@ def enumerate_subspaces(n: int, p: int, dims=None, count_cap: int = ENUM_COUNT_C
                 for (i, j), val in zip(free_cells, values):
                     rows[i][j] = val
                 batch.append(Subspace(n, p, tuple(tuple(r) for r in rows)))
-        batch.sort(key=lambda s: s.rows)
+        batch.sort(key=lambda s: s._basis)
         yield from batch
 
 
 # -- quotient coordinates --------------------------------------------------
 #
 # W/U is read off the packed canonical bases of W and U: no second
-# coordinate system and no row reduction (see QuotientCoords).
+# coordinate system and no row reduction (see QuotientCoords).  A quotient
+# L/I is the section (L, I) and a subalgebra U the section (U, 0).
 
 
 @dataclass(frozen=True)
 class QuotientCoords:
-    """Coordinates for W/U: project is a linear surjection W -> GF(p)^k with
-    kernel exactly U, and lift is a right inverse of project.  lifts is
-    spanned by W's canonical rows whose pivots are not pivots of U: U <= W
-    puts U's pivots among W's, so those rows vanish at U's pivots, and a v
-    in W reduced modulo U, which vanishes there too, is their combination
-    with its entries at their pivots as coefficients."""
+    """Coordinates for the section W/U.  project is a linear surjection
+    W -> GF(p)^k with kernel exactly U, and lift is a right inverse of
+    project; image and preimage are the matching bijection between the X
+    with U <= X <= W and the subspaces of GF(p)^k.  lifts is spanned by W's
+    canonical rows whose pivots are not pivots of U: U <= W puts U's pivots
+    among W's, so those rows vanish at U's pivots, and a v in W reduced
+    modulo U, which vanishes there too, is their combination with its
+    entries at their pivots as coefficients."""
 
     space: Subspace
     sub: Subspace
@@ -525,6 +533,18 @@ class QuotientCoords:
 
     def lift(self, q: Vector) -> Vector:
         return self.lifts.combine(q)
+
+    def image(self, x: Subspace) -> Subspace:
+        """X/U in GF(p)^k, for U <= X <= W; a row of X outside W raises
+        ValueError, as project does."""
+        return Subspace(self.dim, self.sub.p, [self.project(r) for r in x.rows])
+
+    def preimage(self, q: Subspace) -> Subspace:
+        """The X with U <= X <= W and X/U = Q: the lifts of Q's rows,
+        _combined from lifts' packed rows, spanned over U's basis."""
+        n, p, lifts = self.sub.n, self.sub.p, self.lifts._basis
+        return Subspace._of(n, p, _span(p, n, [_combine(p, n, lifts, r)
+                                               for r in q.rows], self.sub._basis))
 
     def line_count(self, spaces=None) -> int:
         """Lines of space/sub, or of the union of spaces (see lines)."""

@@ -254,11 +254,9 @@ def _graph_maximals(l: LieAlgebra, a: Subspace, b: Subspace) -> list[Subspace]:
     """Graphs {v + theta(v)} of algebra isomorphisms between the ideals a, b."""
     if a.dim != b.dim:
         return []
-    ra = restrict_algebra(l, a)
-    rb = restrict_algebra(l, b)
-    units = [unit(s, a.dim) for s in range(a.dim)]
-    return [Subspace.span(l.n, l.p, [vec_add(ra.to_parent(e), rb.to_parent(theta.apply(e)), l.p)
-                                     for e in units])
+    ra, rb = restrict_algebra(l, a), restrict_algebra(l, b)
+    return [Subspace.span(l.n, l.p, [vec_add(v, rb.coords.lift(theta.column(s)), l.p)
+                                     for s, v in enumerate(a.rows)])
             for theta in algebra_isomorphisms(ra.algebra, rb.algebra)]
 
 
@@ -284,7 +282,7 @@ def maximal_subalgebras(l: LieAlgebra) -> tuple[Subspace, ...]:
             continue
         q = quotient_algebra(l, a)
         for mq in maximal_subalgebras(q.algebra):
-            found.add(q.preimage_subspace(mq))
+            found.add(q.coords.preimage(mq))
     if abelian_mins:
         found.update(_complement_subalgebras(l, abelian_mins[0]))
     elif (len(mins) == 2
@@ -312,7 +310,7 @@ def is_frattini_factor(l: LieAlgebra, a: Subspace, b: Subspace) -> bool:
 
 def _frattini_preimage(l: LieAlgebra, b: Subspace) -> Subspace:
     q = quotient_algebra(l, b)
-    return q.preimage_subspace(frattini(q.algebra))
+    return q.coords.preimage(frattini(q.algebra))
 
 
 # -- supplements and complements by maximal subalgebras ---------------------

@@ -169,8 +169,8 @@ def test_antisymmetric_products_match_all_pairs(data):
     assert subspace_product(l, u, u) == Subspace(
         l.n, p, [bracket(l, a, b) for a in u.rows for b in u.rows])
     q = quotient_algebra(l, data.draw(st.sampled_from(all_ideals(l))))
-    lifts = [q.lift(e) for e in Subspace.full(q.algebra.n, p).rows]
-    assert q.algebra.sc == tuple(tuple(q.project(bracket(l, a, b))
+    lifts = [q.coords.lift(e) for e in Subspace.full(q.algebra.n, p).rows]
+    assert q.algebra.sc == tuple(tuple(q.coords.project(bracket(l, a, b))
                                        for b in lifts) for a in lifts)
 
 
@@ -237,8 +237,8 @@ def test_quotient_projection_is_homomorphism():
         for _ in range(25):
             u = tuple(rng.randrange(l.p) for _ in range(l.n))
             v = tuple(rng.randrange(l.p) for _ in range(l.n))
-            lhs = q.project(bracket(l, u, v))
-            rhs = bracket(q.algebra, q.project(u), q.project(v))
+            lhs = q.coords.project(bracket(l, u, v))
+            rhs = bracket(q.algebra, q.coords.project(u), q.coords.project(v))
             assert lhs == rhs
 
 
@@ -251,9 +251,8 @@ def test_induced_algebras_match_all_pairs():
     """restrict_algebra and quotient_algebra, which bracket only the pairs
     i < j, give the tensor of all ordered pairs, on every maximal
     subalgebra and every ideal of the registry algebras and of seeded
-    random solvable ones.  Only the quotient by 0 keeps the labels; the
-    memo is bypassed, since its key ignores labels and an equal algebra
-    asked earlier would answer with its own."""
+    random solvable ones.  No induced algebra carries labels, so the
+    memoised quotient is the same whichever equal algebra asked first."""
 
     def all_pairs(l, rows, coords):
         return tuple(tuple(coords(bracket(l, x, y)) for y in rows)
@@ -267,10 +266,48 @@ def test_induced_algebras_match_all_pairs():
             assert r.sc == all_pairs(l, m.rows, m.coords)
             assert r.labels is None
         for b in all_ideals(l):
-            q = quotient_algebra.__wrapped__(l, b)
-            lifts = [q.lift(e) for e in Subspace.full(q.algebra.n, l.p).rows]
-            assert q.algebra.sc == all_pairs(l, lifts, q.project)
-            assert q.algebra.labels == (None if b.dim else l.labels)
+            q = quotient_algebra(l, b)
+            lifts = [q.coords.lift(e)
+                     for e in Subspace.full(q.algebra.n, l.p).rows]
+            assert q.algebra.sc == all_pairs(l, lifts, q.coords.project)
+            assert q.algebra.labels is None
+
+
+def test_quotient_by_zero_carries_no_labels_in_either_order():
+    """quotient_algebra's memo key ignores labels, so L/0 of a labelled
+    algebra and of an equal unlabelled one share one answer: it carries no
+    labels, whichever of the two was asked first."""
+    labelled, plain = random_solvable(2, 2, 0), abelian(2, 2)
+    assert labelled == plain and labelled.labels != plain.labels
+    for first, second in ((labelled, plain), (plain, labelled)):
+        quotient_algebra.cache_clear()
+        for l in (first, second):
+            assert quotient_algebra(l, l.zero_space).algebra.labels is None
+
+
+def test_section_maps_match_the_row_built_path():
+    """For each section W/U, L/B for every ideal B and U/0 for every
+    maximal U: coords.preimage(Q), one packed span of Q's lifts over U's
+    basis, is the row-built span of the lifted rows and U's rows for every
+    ideal Q of the section, image and preimage are inverse to each other,
+    and image refuses a row outside W.  On the registry algebras and seeded
+    random solvable ones over GF(2), GF(3), GF(5) and GF(7)."""
+    for l in [e.algebra for e in registry()] + [
+            random_solvable(n, p, seed) for p, top in ((2, 5), (3, 5), (5, 4),
+                                                      (7, 4))
+            for n in range(3, top + 1) for seed in (1, 2)]:
+        for s in [quotient_algebra(l, b) for b in all_ideals(l)] + [
+                restrict_algebra(l, m) for m in maximal_subalgebras(l)]:
+            qc = s.coords
+            for q in all_ideals(s.algebra):
+                x = qc.preimage(q)
+                assert x == Subspace(l.n, l.p, [qc.lift(r) for r in q.rows]
+                                     + list(qc.sub.rows))
+                assert qc.image(x) == q and qc.preimage(qc.image(x)) == x
+            outside = [e for e in l.full.rows if not qc.space.contains(e)]
+            if outside:
+                with pytest.raises(ValueError, match="outside"):
+                    qc.image(Subspace(l.n, l.p, outside[:1]))
 
 
 def test_restrict_algebra_roundtrip():
@@ -280,7 +317,7 @@ def test_restrict_algebra_roundtrip():
     pres = restrict_algebra(s, first)
     assert pres.algebra.sc == sl2(5).sc
     v = (2, 1, 0)
-    assert pres.to_sub(pres.to_parent(v)) == v
+    assert pres.coords.project(pres.coords.lift(v)) == v
 
 
 # ---------------------------------------------------------------------------

@@ -129,7 +129,7 @@ def test_memo_key_hashes_are_the_dataclass_hashes():
     first, second = build(), build()
     l, a, f, s = first
     assert first == second and first[2] is not second[2]
-    fields = [(l, (l.n, l.p, l.sc)), (a, (a.n, a.p, a.rows)),
+    fields = [(l, (l.n, l.p, l.sc)), (a, (a.n, a.p, a._basis)),
               (f, (f.algebra, f.a, f.b)), (s, (s.algebra, s.terms))]
     for value, compared in fields:
         assert hash(value) == hash(compared)    # computed or kept
@@ -1195,7 +1195,7 @@ def _assert_catalog_matches_slow_paths(l):
         assert f.supplements == oracle_supplements(l, a, b, pool)
         assert f.abelian == subspace_leq(subspace_product(l, a, a), b)
         q = quotient_algebra(l, b)
-        image = Subspace(q.algebra.n, l.p, [q.project(r) for r in a.rows])
+        image = Subspace(q.algebra.n, l.p, [q.coords.project(r) for r in a.rows])
         assert f.frattini == subspace_leq(image, frattini(q.algebra))
 
 

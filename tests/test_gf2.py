@@ -7,11 +7,11 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chieflie.algebra import bracket, is_ideal
+from chieflie.algebra import bracket, is_ideal, quotient_algebra
 from chieflie.corpus import abelian, heisenberg, random_solvable, registry
 from chieflie.field import prime_field
 from chieflie.ideals import all_ideals, ideal_closure
-from chieflie.linalg import (Subspace, _pack, enumerate_subspaces,
+from chieflie.linalg import (Subspace, _pack, enumerate_subspaces, spin,
                              subspace_intersect, subspace_leq, subspace_sum,
                              unit)
 from chieflie.oracle import oracle_rref_rows
@@ -129,10 +129,39 @@ def test_gf2_subspace_keeps_its_contract():
     s = Subspace(4, 2, [(1, 1, 0, 1), (0, 1, 1, 1), (1, 0, 1, 0)])
     assert s.rows == ((1, 0, 1, 0), (0, 1, 1, 1))
     assert s.pivots == (0, 1) and s.dim == 2
-    assert hash(s) == hash((4, 2, s.rows))
+    assert hash(s) == hash((4, 2, s._basis))
     assert s == Subspace(4, 2, s.rows) and s != Subspace(4, 3, s.rows)
     with pytest.raises(AttributeError):
         s.n = 5
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_born_packed_subspaces_are_identified_by_their_basis(data):
+    """A subspace born packed (a sum, a meet, a spin or a section's
+    preimage) hashes, compares and sorts without unpacking its rows; its
+    hash and equality agree with the equal row-built subspace, and key()
+    orders as (dim, rows)."""
+    l = _algebra(data)
+    n, p = l.n, l.p
+    u, v = (Subspace(n, p, data.draw(_rows(n, p, max_size=3))) for _ in "uv")
+    q = quotient_algebra(l, data.draw(st.sampled_from(all_ideals(l))))
+    born = [s for s in (
+        subspace_sum(u, v), subspace_intersect(u, v), spin(l.ad_maps, u),
+        q.coords.preimage(data.draw(st.sampled_from(all_ideals(q.algebra)))))
+        if "rows" not in vars(s)]
+    assert len(born) >= 3
+    keys = sorted(s.key() for s in born)
+    assert len(set(born)) == len(set(keys))
+    assert [s.key() for s in sorted(born, key=Subspace.key)] == keys
+    assert all((a == b) == (a.key() == b.key()) for a in born for b in born)
+    assert all("rows" not in vars(s) for s in born)
+    twins = [Subspace(n, p, s.rows) for s in born]
+    assert all(hash(s) == hash(t) and s == t and t in set(born)
+               for s, t in zip(born, twins))
+    spaces = born + twins + [u, v]
+    assert sorted(spaces, key=Subspace.key) == sorted(
+        spaces, key=lambda s: (s.dim, s.rows))
 
 
 # -- ideals -----------------------------------------------------------------

@@ -931,7 +931,7 @@ def test_cut_maximal_matches_sl2_structure():
     traces = {cut_maximal_down(cp, m).rows for m in above}
     # the traces are exactly the maximal subalgebras of the second summand
     sub_maxes = maximal_subalgebras(cp.inside.algebra)
-    assert traces == {cp.inside.parent_subspace(t).rows for t in sub_maxes}
+    assert traces == {cp.inside.coords.preimage(t).rows for t in sub_maxes}
     for m in above:
         assert paste_maximal_up(cp, cut_maximal_down(cp, m)) == m
 
